@@ -7,7 +7,7 @@
 #include <cstdio>
 #include <ctime>
 #include <future>
-
+#include <stdexcept>
 #include <thread>
 
 #include "cache/result_cache.h"
@@ -212,34 +212,110 @@ struct UnitOutcome {
   } prior;
 };
 
-// Per-task cache context shared read-only by the sample fan-out. Null cache
-// = caching off (the candidate pipeline is then identical to the uncached
-// engine). `extended` selects the v3 verdict payload carrying fail_reason
-// (repair-enabled runs only; their task seeds already key a disjoint space).
-struct CacheRun {
+// Everything the candidate pipeline needs about one task, prepared once
+// before the sample fan-out and shared read-only by every worker.
+struct PreparedTask {
+  // The golden, parsed unconditionally. A golden that does not parse (broken
+  // task definition) leaves lint reference-free and prove off, and every
+  // compiled candidate faults at the simulation point.
+  verilog::ParseOutput golden;
+  bool golden_ok = false;  // parsed cleanly, >= 1 module
+  // Lint switches; the profile is filled only when the golden is usable.
+  bool lint = false;
+  bool lint_triage = false;
+  lint::ReferenceProfile profile;
+  // False when prove is off or the task is outside the provable fragment
+  // (sequential, sweep too wide, golden doesn't lower, or a step budget is
+  // in force): every candidate then simulates, with no fallback counted.
+  bool provable = false;
+  prove::ProveOptions prove_opts;
+  // Null cache = caching off. `extended` selects the v3 verdict payload
+  // carrying fail_reason (repair-enabled runs only; their task seeds already
+  // key a disjoint space).
   cache::ResultCache* cache = nullptr;
-  cache::Digest task_seed;
+  cache::Digest cache_seed;
   bool extended = false;
 };
 
-// Per-task lint context prepared once before the sample fan-out: the parsed
-// golden module, the reference profile, and the triage switch. Null pointer
-// = lint disabled (the candidate pipeline is then byte-identical to the
-// pre-lint engine).
-struct LintRun {
-  const lint::ReferenceProfile* profile = nullptr;  // null when golden unusable
-  const verilog::ParseOutput* golden = nullptr;     // parsed golden (same cond.)
-  bool triage = false;
-};
+// Distill the lint reference profile from a usable golden.
+void fill_profile(const EvalTask& task, const verilog::ParseOutput& golden,
+                  lint::ReferenceProfile* profile) {
+  const verilog::Module& gm = golden.file.modules.front();
+  lint::profile_from_golden(gm, &golden.file, profile);
+  profile->sequential = task.stimulus.sequential;
+  profile->clock = task.stimulus.clock;
+  profile->reset = task.stimulus.reset;
+  // Replicate the testbench's exhaustive-sweep policy (sim/testbench.cpp):
+  // data inputs are the golden's non-clock/reset inputs, swept exhaustively
+  // when their total bit count fits the budget.
+  if (!task.stimulus.sequential) {
+    int total_bits = 0;
+    for (const auto& p : gm.ports) {
+      if (p.dir == verilog::Dir::kOutput) continue;
+      if (p.name == task.stimulus.clock || p.name == task.stimulus.reset) continue;
+      total_bits += p.width();
+    }
+    profile->exhaustive_comb =
+        total_bits <= task.stimulus.max_exhaustive_bits && total_bits <= 20;
+  }
+  try {
+    (void)sim::elaborate(gm, &golden.file);
+  } catch (const sim::ElabError&) {
+    profile->golden_elab_ok = false;
+  }
+  // Golden truth rows for the constant-output proof: only combinational
+  // expression tasks carry an exact semantic function.
+  if (task.spec.kind == llm::TaskKind::kCombExpr && task.spec.expr != nullptr &&
+      !task.spec.comb_inputs.empty() && task.spec.comb_inputs.size() <= 20) {
+    const logic::TruthTable tt = logic::TruthTable::from_expr(
+        *task.spec.expr, task.spec.comb_inputs, task.spec.comb_output);
+    lint::ReferenceProfile::OutputTruth truth;
+    truth.port = task.spec.comb_output;
+    const std::uint32_t rows = std::uint32_t{1}
+                               << static_cast<std::uint32_t>(task.spec.comb_inputs.size());
+    for (std::uint32_t row = 0; row < rows; ++row) {
+      const logic::Tri v = tt.row(row);
+      truth.defined_zero |= v == logic::Tri::kFalse;
+      truth.defined_one |= v == logic::Tri::kTrue;
+    }
+    profile->truth.push_back(std::move(truth));
+  }
+}
 
-// Per-task prove context prepared once before the sample fan-out. A null
-// golden means the task is outside the provable fragment (sequential, sweep
-// too wide, golden doesn't lower, or a step budget is in force): every
-// candidate simulates as before, with no fallback counted.
-struct ProveRun {
-  const verilog::ParseOutput* golden = nullptr;
-  prove::ProveOptions opts;
-};
+PreparedTask prepare_task(const EvalTask& task, const EvalRequest& request) {
+  PreparedTask p;
+  p.golden = verilog::parse_source(task.golden_source);
+  p.golden_ok = p.golden.ok() && !p.golden.file.modules.empty();
+
+  p.lint = request.lint || request.lint_triage;
+  p.lint_triage = request.lint_triage;
+  if (p.lint && p.golden_ok) fill_profile(task, p.golden, &p.profile);
+
+  // Prove eligibility is structural (combinational spec, sweep fits, golden
+  // lowers, no step budget in force — a budget-blown sim must still surface
+  // as a unit fault); the dry run is unbudgeted so that a small request
+  // budget exhausts per candidate, counted under prove_fallback, instead of
+  // silently disabling the task.
+  p.prove_opts.node_budget = request.prove_budget;
+  p.provable = request.prove && p.golden_ok && request.sim_step_budget == 0 &&
+               task.stimulus.step_budget == 0 &&
+               prove::golden_provable(p.golden.file.modules.front(), &p.golden.file,
+                                      task.stimulus, prove::ProveOptions{0});
+
+  // Cache seed: task identity + eval knobs hashed once. The per-candidate key
+  // then adds the candidate's content and its stimulus stream (see
+  // eval/cache_io.h).
+  if (request.cache != nullptr) {
+    const CacheLintMode lint_mode = request.lint_triage ? CacheLintMode::kTriage
+                                    : p.lint            ? CacheLintMode::kObserve
+                                                        : CacheLintMode::kOff;
+    p.cache = request.cache;
+    p.cache_seed = task_cache_seed(task, request.sim_step_budget, lint_mode, request.prove,
+                                   request.prove_budget, &request.repair);
+    p.extended = request.repair.enabled();
+  }
+  return p;
+}
 
 FaultKind classify_fault(const std::exception& e) {
   if (dynamic_cast<const util::InjectedFault*>(&e) != nullptr) return FaultKind::kInjected;
@@ -249,28 +325,26 @@ FaultKind classify_fault(const std::exception& e) {
 }
 
 // The candidate pipeline shared by evaluate() and check(): SI-CoT refine,
-// generate, compile-check, differential simulation. The draw order against
-// `rng` is part of the determinism contract — do not reorder. Neither the
-// deadline checks nor the injection hook draw from `rng`, so enabling them
-// never perturbs results. A non-null `damping` routes generation through
-// generate_with_hints (repair rounds); round 0 and repair-off runs pass null
-// and take the byte-identical generate() path.
+// generate, cache lookup, compile-check, lint, prove, differential
+// simulation. The candidate is parsed once, by the compile stage, and that
+// parse feeds every later stage. The draw order against `rng` is part of the
+// determinism contract — do not reorder. Neither the deadline checks nor the
+// injection hook draw from `rng`, so enabling them never perturbs results. A
+// non-null `damping` routes generation through generate_with_hints (repair
+// rounds); round 0 and repair-off runs pass null and take the byte-identical
+// generate() path.
 CandidateOutcome run_candidate(const llm::SimLlm& model, const EvalTask& task,
-                               double temperature, bool use_sicot,
-                               const llm::SimLlm* cot_model, util::Rng& rng,
-                               UnitOutcome* stats, const util::Deadline& deadline,
-                               std::uint64_t step_budget, sim::SimBackend sim_backend,
-                               const LintRun* lint_run = nullptr,
-                               const CacheRun* cache_run = nullptr,
-                               const ProveRun* prove_run = nullptr,
+                               const PreparedTask& prep, const EvalRequest& request,
+                               double temperature, util::Rng& rng, UnitOutcome* stats,
+                               const util::Deadline& deadline,
                                const llm::AxisDamping* damping = nullptr) {
   CandidateOutcome outcome;
 
   const Clock::time_point gen_start = Clock::now();
   std::string prompt = task.prompt;
-  if (use_sicot) {
-    const llm::SimLlm* interpreter = cot_model != nullptr ? cot_model : &model;
-    cot::SiCotPipeline pipeline(interpreter);
+  if (request.use_sicot) {
+    const llm::SimLlm* cot_model = request.cot_model_ptr();
+    cot::SiCotPipeline pipeline(cot_model != nullptr ? cot_model : &model);
     const cot::SiCotResult refined = pipeline.refine(prompt, temperature, rng);
     prompt = refined.prompt;
     if (stats != nullptr) stats->refined = refined.transformed;
@@ -292,11 +366,11 @@ CandidateOutcome run_candidate(const llm::SimLlm& model, const EvalTask& task,
   // Result-cache lookup (content + task + knobs + stimulus stream): a hit
   // replays the stored verdict and short-circuits compile/lint/simulate
   // bit-identically; see DESIGN.md §9 for the soundness argument.
-  const bool caching = cache_run != nullptr && cache_run->cache != nullptr && stats != nullptr;
+  const bool caching = prep.cache != nullptr && stats != nullptr;
   cache::Digest cache_key;
   if (caching) {
-    cache_key = unit_cache_key(cache_run->task_seed, outcome.source, tb_rng.state_hash());
-    if (std::optional<std::string> payload = cache_run->cache->lookup(cache_key)) {
+    cache_key = unit_cache_key(prep.cache_seed, outcome.source, tb_rng.state_hash());
+    if (std::optional<std::string> payload = prep.cache->lookup(cache_key)) {
       CachedVerdict v;
       if (decode_verdict(*payload, &v)) {
         outcome.syntax_ok = v.syntax_ok;
@@ -331,12 +405,15 @@ CandidateOutcome run_candidate(const llm::SimLlm& model, const EvalTask& task,
     v.sim_vectors = stats->sim_vectors;
     v.findings = stats->findings;
     v.fail_reason = stats->fail_reason;
-    cache_run->cache->insert(cache_key, encode_verdict(v, cache_run->extended));
+    prep.cache->insert(cache_key, encode_verdict(v, prep.extended));
   };
 
+  // The one parse of the candidate, charged to the compile stage.
   const Clock::time_point compile_start = Clock::now();
   util::maybe_inject(util::kSiteEvalCompile);
-  outcome.syntax_ok = verilog::compile_ok(outcome.source);
+  const verilog::ParseOutput parsed = verilog::parse_source(outcome.source);
+  const verilog::SourceAnalysis analysis = verilog::analyze_parsed(parsed);
+  outcome.syntax_ok = analysis.ok();
   if (stats != nullptr) {
     stats->compile_seconds = seconds_since(compile_start);
     stats->syntax_ok = outcome.syntax_ok;
@@ -344,11 +421,10 @@ CandidateOutcome run_candidate(const llm::SimLlm& model, const EvalTask& task,
   deadline.check("compile");
 
   if (!outcome.syntax_ok) {
-    if (lint_run != nullptr && stats != nullptr) {
+    if (prep.lint && stats != nullptr) {
       // Attribute the compile failure: parse errors and semantic errors map
       // to kSyntax/kSema findings with taxonomy axes.
       const Clock::time_point lint_start = Clock::now();
-      const verilog::SourceAnalysis analysis = verilog::analyze_source(outcome.source);
       stats->findings = lint::findings_from_diagnostics(analysis.parse_errors);
       for (const auto& m : analysis.modules) {
         auto more = lint::findings_from_diagnostics(m.diagnostics);
@@ -359,58 +435,41 @@ CandidateOutcome run_candidate(const llm::SimLlm& model, const EvalTask& task,
     store(outcome);
     return outcome;
   }
-
-  const bool prove_active = prove_run != nullptr && prove_run->golden != nullptr;
+  // A compiled candidate parsed cleanly into at least one module.
+  const verilog::Module& cand = parsed.file.modules.front();
 
   // Lint the compiled candidate against the reference profile. Draws nothing
-  // from `rng` (determinism contract) and parses the candidate exactly once;
-  // the parsed AST feeds the prover and the simulator below.
-  verilog::ParseOutput cand_parsed;
-  bool cand_ast_ready = false;
-  if (lint_run != nullptr) {
+  // from `rng` (determinism contract).
+  if (prep.lint) {
     const Clock::time_point lint_start = Clock::now();
-    cand_parsed = verilog::parse_source(outcome.source);
-    cand_ast_ready = cand_parsed.ok() && !cand_parsed.file.modules.empty();
-    if (cand_ast_ready) {
-      lint::LintResult lint_result = lint::lint_candidate(
-          cand_parsed.file.modules.front(), &cand_parsed.file, lint_run->profile);
-      const bool proven = lint_result.proven_failure();
-      if (stats != nullptr) {
-        stats->findings = std::move(lint_result.findings);
-        stats->lint_seconds = seconds_since(lint_start);
-      }
-      deadline.check("lint");
-      if (lint_run->triage && proven) {
-        // Proven findings imply the diff test fails (DESIGN.md §8): score the
-        // candidate as a functional failure without simulating.
-        outcome.func_ok = false;
-        if (stats != nullptr) stats->triaged = true;
-        store(outcome);
-        return outcome;
-      }
-    } else if (stats != nullptr) {
+    lint::LintResult lint_result =
+        lint::lint_candidate(cand, &parsed.file, prep.golden_ok ? &prep.profile : nullptr);
+    const bool proven = lint_result.proven_failure();
+    if (stats != nullptr) {
+      stats->findings = std::move(lint_result.findings);
       stats->lint_seconds = seconds_since(lint_start);
     }
-  } else if (prove_active) {
-    // Lint is off but the prover needs the AST; the parse is charged to the
-    // prove stage.
-    const Clock::time_point parse_start = Clock::now();
-    cand_parsed = verilog::parse_source(outcome.source);
-    cand_ast_ready = cand_parsed.ok() && !cand_parsed.file.modules.empty();
-    if (stats != nullptr) stats->prove_seconds += seconds_since(parse_start);
+    deadline.check("lint");
+    if (prep.lint_triage && proven) {
+      // Proven findings imply the diff test fails (DESIGN.md §8): score the
+      // candidate as a functional failure without simulating.
+      outcome.func_ok = false;
+      if (stats != nullptr) stats->triaged = true;
+      store(outcome);
+      return outcome;
+    }
   }
 
   // Formal equivalence fast-path (DESIGN.md §12), after lint triage — a
   // candidate with a proven lint failure counts once, under lint_triaged —
   // and before simulation. A proven verdict is bit-identical to the diff
   // testbench's by construction; anything else falls through to it.
-  if (prove_active && cand_ast_ready) {
+  if (prep.provable) {
     const Clock::time_point prove_start = Clock::now();
-    const prove::ProveResult proof = prove::prove_equivalence(
-        cand_parsed.file.modules.front(), &cand_parsed.file,
-        prove_run->golden->file.modules.front(), &prove_run->golden->file, task.stimulus,
-        prove_run->opts);
-    if (stats != nullptr) stats->prove_seconds += seconds_since(prove_start);
+    const prove::ProveResult proof =
+        prove::prove_equivalence(cand, &parsed.file, prep.golden.file.modules.front(),
+                                 &prep.golden.file, task.stimulus, prep.prove_opts);
+    if (stats != nullptr) stats->prove_seconds = seconds_since(prove_start);
     deadline.check("prove");
     if (proof.status == prove::ProveStatus::kEquivalent ||
         proof.status == prove::ProveStatus::kInequivalent) {
@@ -428,20 +487,13 @@ CandidateOutcome run_candidate(const llm::SimLlm& model, const EvalTask& task,
   }
 
   const Clock::time_point sim_start = Clock::now();
+  if (!prep.golden_ok) throw std::invalid_argument("golden source does not parse");
   sim::StimulusSpec stimulus = task.stimulus;
-  if (step_budget != 0) stimulus.step_budget = step_budget;
-  stimulus.backend = sim_backend;
-  const verilog::ParseOutput* golden_ast =
-      lint_run != nullptr && lint_run->golden != nullptr ? lint_run->golden
-      : prove_active                                     ? prove_run->golden
-                                                         : nullptr;
+  if (request.sim_step_budget != 0) stimulus.step_budget = request.sim_step_budget;
+  stimulus.backend = request.sim_backend;
   const sim::DiffResult diff =
-      (cand_ast_ready && golden_ast != nullptr)
-          ? sim::run_diff_test(cand_parsed.file.modules.front(), &cand_parsed.file,
-                               golden_ast->file.modules.front(), &golden_ast->file, stimulus,
-                               tb_rng, &deadline)
-          : sim::run_diff_test(outcome.source, task.golden_source, stimulus, tb_rng,
-                               &deadline);
+      sim::run_diff_test(cand, &parsed.file, prep.golden.file.modules.front(),
+                         &prep.golden.file, stimulus, tb_rng, &deadline);
   outcome.func_ok = diff.passed;
   if (stats != nullptr) {
     stats->sim_seconds = seconds_since(sim_start);
@@ -461,9 +513,9 @@ CandidateOutcome EvalEngine::check(const llm::SimLlm& model, const EvalTask& tas
   const util::Deadline deadline = request_.deadline_ms > 0
                                       ? util::Deadline::after_ms(request_.deadline_ms)
                                       : util::Deadline::none();
-  return run_candidate(model, task, temperature, request_.use_sicot,
-                       request_.cot_model_ptr(), rng, nullptr, deadline,
-                       request_.sim_step_budget, request_.sim_backend);
+  // A default request prepares the golden only: lint, prove and cache off.
+  return run_candidate(model, task, prepare_task(task, EvalRequest{}), request_, temperature,
+                       rng, nullptr, deadline);
 }
 
 SuiteResult EvalEngine::evaluate(const llm::SimLlm& model, const Suite& suite) const {
@@ -482,122 +534,15 @@ SuiteResult EvalEngine::evaluate(const llm::SimLlm& model, const Suite& suite) c
     task_seed[i] = mix_hash(request_.seed, model.name() + "|" + suite.tasks[i].id);
   }
 
-  const llm::SimLlm* cot_model = request_.cot_model_ptr();
-
-  // Per-task lint context: golden module parsed once, reference profile
-  // distilled once, shared read-only by every worker. A golden that fails to
-  // parse (broken task definition) degrades that task to reference-free
-  // lint; the simulation path then reports the failure as before.
+  // Each task prepared once, shared read-only by every worker.
   const bool lint_enabled = request_.lint || request_.lint_triage;
-  struct GoldenCtx {
-    verilog::ParseOutput parsed;
-    lint::ReferenceProfile profile;
-    bool usable = false;
-  };
-  std::vector<GoldenCtx> goldens(lint_enabled ? n_tasks : 0);
-  if (lint_enabled) {
-    for (std::size_t i = 0; i < n_tasks; ++i) {
-      const EvalTask& task = suite.tasks[i];
-      GoldenCtx& g = goldens[i];
-      g.parsed = verilog::parse_source(task.golden_source);
-      if (!g.parsed.ok() || g.parsed.file.modules.empty()) continue;
-      const verilog::Module& gm = g.parsed.file.modules.front();
-      lint::profile_from_golden(gm, &g.parsed.file, &g.profile);
-      g.profile.sequential = task.stimulus.sequential;
-      g.profile.clock = task.stimulus.clock;
-      g.profile.reset = task.stimulus.reset;
-      // Replicate the testbench's exhaustive-sweep policy (sim/testbench.cpp):
-      // data inputs are the golden's non-clock/reset inputs, swept
-      // exhaustively when their total bit count fits the budget.
-      if (!task.stimulus.sequential) {
-        int total_bits = 0;
-        for (const auto& p : gm.ports) {
-          if (p.dir == verilog::Dir::kOutput) continue;
-          if (p.name == task.stimulus.clock || p.name == task.stimulus.reset) continue;
-          total_bits += p.width();
-        }
-        g.profile.exhaustive_comb =
-            total_bits <= task.stimulus.max_exhaustive_bits && total_bits <= 20;
-      }
-      try {
-        (void)sim::elaborate(gm, &g.parsed.file);
-      } catch (const sim::ElabError&) {
-        g.profile.golden_elab_ok = false;
-      }
-      // Golden truth rows for the constant-output proof: only combinational
-      // expression tasks carry an exact semantic function.
-      if (task.spec.kind == llm::TaskKind::kCombExpr && task.spec.expr != nullptr &&
-          !task.spec.comb_inputs.empty() && task.spec.comb_inputs.size() <= 20) {
-        const logic::TruthTable tt = logic::TruthTable::from_expr(
-            *task.spec.expr, task.spec.comb_inputs, task.spec.comb_output);
-        lint::ReferenceProfile::OutputTruth truth;
-        truth.port = task.spec.comb_output;
-        const std::uint32_t rows = std::uint32_t{1}
-                                   << static_cast<std::uint32_t>(task.spec.comb_inputs.size());
-        for (std::uint32_t row = 0; row < rows; ++row) {
-          const logic::Tri v = tt.row(row);
-          truth.defined_zero |= v == logic::Tri::kFalse;
-          truth.defined_one |= v == logic::Tri::kTrue;
-        }
-        g.profile.truth.push_back(std::move(truth));
-      }
-      g.usable = true;
-    }
-  }
+  std::vector<PreparedTask> prepared;
+  prepared.reserve(n_tasks);
+  for (const EvalTask& task : suite.tasks) prepared.push_back(prepare_task(task, request_));
 
-  // Per-task cache seeds: task identity + eval knobs hashed once, shared
-  // read-only by every worker. The per-candidate key then adds the
-  // candidate's content and its stimulus stream (see eval/cache_io.h).
   cache::ResultCache* result_cache = request_.cache;
-  std::int64_t cache_evictions_before = 0;
-  std::vector<CacheRun> cache_runs(result_cache != nullptr ? n_tasks : 0);
-  if (result_cache != nullptr) {
-    const CacheLintMode lint_mode = request_.lint_triage ? CacheLintMode::kTriage
-                                    : lint_enabled       ? CacheLintMode::kObserve
-                                                         : CacheLintMode::kOff;
-    for (std::size_t i = 0; i < n_tasks; ++i) {
-      cache_runs[i].cache = result_cache;
-      cache_runs[i].task_seed =
-          task_cache_seed(suite.tasks[i], request_.sim_step_budget, lint_mode, request_.prove,
-                          request_.prove_budget, &request_.repair);
-      cache_runs[i].extended = request_.repair.enabled();
-    }
-    cache_evictions_before = result_cache->stats().evictions;
-  }
-
-  // Per-task prove context: eligibility decided once per task, shared
-  // read-only by every worker. Eligibility is structural (combinational spec,
-  // sweep fits, golden lowers, no step budget in force — a budget-blown sim
-  // must still surface as a unit fault); the dry run is unbudgeted so that a
-  // small request budget exhausts per candidate, counted under
-  // prove_fallback, instead of silently disabling the task.
-  const bool prove_enabled = request_.prove;
-  prove::ProveOptions prove_opts;
-  prove_opts.node_budget = request_.prove_budget;
-  std::vector<ProveRun> prove_runs(prove_enabled ? n_tasks : 0);
-  std::vector<verilog::ParseOutput> prove_goldens(prove_enabled ? n_tasks : 0);
-  if (prove_enabled) {
-    for (std::size_t i = 0; i < n_tasks; ++i) {
-      const EvalTask& task = suite.tasks[i];
-      prove_runs[i].opts = prove_opts;
-      if (request_.sim_step_budget != 0 || task.stimulus.step_budget != 0) continue;
-      const verilog::ParseOutput* golden = nullptr;
-      if (lint_enabled && goldens[i].usable) {
-        golden = &goldens[i].parsed;
-      } else if (!lint_enabled) {
-        prove_goldens[i] = verilog::parse_source(task.golden_source);
-        if (prove_goldens[i].ok() && !prove_goldens[i].file.modules.empty()) {
-          golden = &prove_goldens[i];
-        }
-      }
-      if (golden == nullptr) continue;
-      if (!prove::golden_provable(golden->file.modules.front(), &golden->file, task.stimulus,
-                                  prove::ProveOptions{0})) {
-        continue;
-      }
-      prove_runs[i].golden = golden;
-    }
-  }
+  const std::int64_t cache_evictions_before =
+      result_cache != nullptr ? result_cache->stats().evictions : 0;
 
   // Work-unit index layout: temperature-major, then task, then sample.
   auto decode = [&](std::size_t unit, std::size_t& ti, std::size_t& task_i, int& s) {
@@ -620,12 +565,6 @@ SuiteResult EvalEngine::evaluate(const llm::SimLlm& model, const Suite& suite) c
     decode(unit, ti, task_i, s);
     const double temperature = request_.temperatures[ti];
     const int max_retries = std::max(0, request_.retry.max_retries);
-    LintRun lint_run;
-    if (lint_enabled && goldens[task_i].usable) {
-      lint_run.profile = &goldens[task_i].profile;
-      lint_run.golden = &goldens[task_i].parsed;
-    }
-    lint_run.triage = request_.lint_triage;
     const repair::RepairPolicy& policy = request_.repair;
     const repair::FeedbackBuilder feedback;
     UnitOutcome stats;
@@ -648,11 +587,8 @@ SuiteResult EvalEngine::evaluate(const llm::SimLlm& model, const Suite& suite) c
                                           ? util::Deadline::after_ms(request_.deadline_ms)
                                           : util::Deadline::none();
       try {
-        run_candidate(model, suite.tasks[task_i], temperature, request_.use_sicot, cot_model,
-                      rng, &stats, deadline, request_.sim_step_budget, request_.sim_backend,
-                      lint_enabled ? &lint_run : nullptr,
-                      result_cache != nullptr ? &cache_runs[task_i] : nullptr,
-                      prove_enabled ? &prove_runs[task_i] : nullptr);
+        run_candidate(model, suite.tasks[task_i], prepared[task_i], request_, temperature, rng,
+                      &stats, deadline);
         if (!policy.enabled()) return stats;
 
         // Closed-loop self-repair (DESIGN.md §13): distill the latest pass's
@@ -682,11 +618,8 @@ SuiteResult EvalEngine::evaluate(const llm::SimLlm& model, const Suite& suite) c
           const std::uint64_t round = static_cast<std::uint64_t>(rounds.size()) + 1;
           util::Rng round_rng(unit_seed ^ (0x8bb84b93962eacc9ULL * round));
           UnitOutcome pass;
-          run_candidate(model, suite.tasks[task_i], temperature, request_.use_sicot, cot_model,
-                        round_rng, &pass, deadline, request_.sim_step_budget,
-                        request_.sim_backend, lint_enabled ? &lint_run : nullptr,
-                        result_cache != nullptr ? &cache_runs[task_i] : nullptr,
-                        prove_enabled ? &prove_runs[task_i] : nullptr, &damping);
+          run_candidate(model, suite.tasks[task_i], prepared[task_i], request_, temperature,
+                        round_rng, &pass, deadline, &damping);
           rounds.push_back(std::move(pass));
         }
         if (rounds.empty()) return stats;

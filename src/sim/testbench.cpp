@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <type_traits>
 
 #include "sim/program.h"
 #include "util/strings.h"
@@ -33,6 +34,18 @@ bool outputs_match(const Value& golden, const Value& dut, std::string* why,
   *why = util::format("output '%s': golden=%s dut=%s", name.c_str(),
                       golden.to_string().c_str(), dut.to_string().c_str());
   return false;
+}
+
+// A comparison's name in a failure reason: a literal, or a callable that
+// formats one. Callables run only on a mismatch, so the passing comparisons
+// (nearly all of them) never format a label.
+template <typename When>
+std::string label(const When& when) {
+  if constexpr (std::is_invocable_v<const When&>) {
+    return when();
+  } else {
+    return when;
+  }
 }
 
 // Backend-erased simulator: exactly one of the two members is live. A plain
@@ -159,9 +172,9 @@ DiffResult run_diff_test(const Module& dut_mod, const SourceFile* dut_file,
       h.dut.poke(p.dut, v);
     };
     // Strict comparison: DUT must match every golden-defined bit.
-    auto compare_outputs = [&](const char* when) -> bool {
+    auto compare_outputs = [&](const auto& when) -> bool {
       if (!h.dut.converged()) {
-        result.reason = util::format("dut failed to converge (%s)", when);
+        result.reason = util::format("dut failed to converge (%s)", label(when).c_str());
         return false;
       }
       if (!h.golden.converged()) {
@@ -171,7 +184,7 @@ DiffResult run_diff_test(const Module& dut_mod, const SourceFile* dut_file,
       for (const auto& out : h.outputs) {
         std::string why;
         if (!outputs_match(h.golden.peek(out.golden), h.dut.peek(out.dut), &why, out.name)) {
-          result.reason = util::format("%s: %s", when, why.c_str());
+          result.reason = util::format("%s: %s", label(when).c_str(), why.c_str());
           return false;
         }
       }
@@ -199,9 +212,9 @@ DiffResult run_diff_test(const Module& dut_mod, const SourceFile* dut_file,
             rest >>= in.width;
           }
           ++result.vectors;
-          if (!compare_outputs(util::format("vector %llu",
-                                            static_cast<unsigned long long>(vec))
-                                   .c_str())) {
+          if (!compare_outputs([vec] {
+                return util::format("vector %llu", static_cast<unsigned long long>(vec));
+              })) {
             return result;
           }
         }
@@ -210,7 +223,9 @@ DiffResult run_diff_test(const Module& dut_mod, const SourceFile* dut_file,
           check_deadline("random vector sweep");
           randomize_inputs();
           ++result.vectors;
-          if (!compare_outputs(util::format("random vector %d", v).c_str())) return result;
+          if (!compare_outputs([v] { return util::format("random vector %d", v); })) {
+            return result;
+          }
         }
       }
       result.passed = true;
@@ -281,10 +296,12 @@ DiffResult run_diff_test(const Module& dut_mod, const SourceFile* dut_file,
       // Half-cycle comparison: a design hallucinated onto the wrong clock
       // edge updates here while the golden design does not.
       ++result.vectors;
-      if (!compare_outputs(util::format("cycle %d (half)", cycle).c_str())) return result;
+      if (!compare_outputs([cycle] { return util::format("cycle %d (half)", cycle); })) {
+        return result;
+      }
       drive_both(clock_pair, 1);
       ++result.vectors;
-      if (!compare_outputs(util::format("cycle %d", cycle).c_str())) return result;
+      if (!compare_outputs([cycle] { return util::format("cycle %d", cycle); })) return result;
     }
     result.passed = true;
     return result;

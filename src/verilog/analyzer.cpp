@@ -658,14 +658,17 @@ ModuleAnalysis analyze_module(const Module& m, const SourceFile* file) {
   return ModuleChecker(m, file).run();
 }
 
-SourceAnalysis analyze_source(std::string_view source) {
+SourceAnalysis analyze_parsed(const ParseOutput& parsed) {
   SourceAnalysis out;
-  ParseOutput parsed = parse_source(source);
-  out.parse_errors = std::move(parsed.diagnostics);
+  out.parse_errors = parsed.diagnostics;
   for (const auto& m : parsed.file.modules) {
     out.modules.push_back(analyze_module(m, &parsed.file));
   }
   return out;
+}
+
+SourceAnalysis analyze_source(std::string_view source) {
+  return analyze_parsed(parse_source(source));
 }
 
 bool compile_ok(std::string_view source) { return analyze_source(source).ok(); }

@@ -104,6 +104,9 @@ struct SourceAnalysis {
   }
 };
 
+// Analyze an already-parsed source (every module, plus its parse
+// diagnostics); analyze_source parses first.
+SourceAnalysis analyze_parsed(const ParseOutput& parsed);
 SourceAnalysis analyze_source(std::string_view source);
 
 // Parse + semantic check. The single predicate used as "compiles" throughout

@@ -149,6 +149,48 @@ TEST(EvalEngine, ProgressCallbackCoversEveryUnitInIndexOrder) {
   EXPECT_EQ(seen[1].sample, 1);
 }
 
+// A golden that does not parse is a broken task definition. Every candidate
+// that compiles and is not lint-triaged faults at the simulation point with
+// one message, whichever fast paths are on, and the accounting still holds.
+TEST(EvalEngine, UnparseableGoldenFaultsEveryCompiledCandidate) {
+  const llm::SimLlm model = llm::make_model("CodeLlama");
+  Suite suite = small_rtllm(1);
+  suite.tasks.front().golden_source = "module broken(input a;\n";
+
+  const EvalRequest request =
+      EvalRequest{}.with_samples(8).with_temperatures({0.2, 0.8}).with_threads(1);
+  auto evaluate = [&](const EvalRequest& r) {
+    const SuiteResult result = EvalEngine(r).evaluate(model, suite);
+    const EvalCounters& c = result.counters;
+    EXPECT_TRUE(counters_consistent(c)) << counters_inconsistency(c);
+    EXPECT_EQ(c.simulated, 0);
+    EXPECT_EQ(c.proven_equiv + c.proven_inequiv, 0);
+    EXPECT_EQ(c.unit_faults, c.candidates - c.compile_failures - c.lint_triaged);
+    EXPECT_GT(c.unit_faults, 0);
+    EXPECT_EQ(static_cast<std::int64_t>(result.faults.size()), c.unit_faults);
+    for (const UnitFault& f : result.faults) {
+      EXPECT_EQ(f.kind, FaultKind::kException);
+      EXPECT_EQ(f.what, "golden source does not parse");
+    }
+    for (const TaskResult& t : result.per_task) EXPECT_EQ(t.func_pass, 0);
+    return result;
+  };
+
+  const SuiteResult plain = evaluate(request);
+  const SuiteResult proved = evaluate(EvalRequest(request).with_prove());
+  expect_same_result(plain, proved);
+  ASSERT_EQ(plain.faults.size(), proved.faults.size());
+  for (std::size_t i = 0; i < plain.faults.size(); ++i) {
+    EXPECT_EQ(plain.faults[i].task_id, proved.faults[i].task_id);
+    EXPECT_EQ(plain.faults[i].sample, proved.faults[i].sample);
+    EXPECT_DOUBLE_EQ(plain.faults[i].temperature, proved.faults[i].temperature);
+    EXPECT_EQ(plain.faults[i].attempts, proved.faults[i].attempts);
+    EXPECT_EQ(plain.faults[i].what, proved.faults[i].what);
+  }
+  evaluate(EvalRequest(request).with_lint());
+  evaluate(EvalRequest(request).with_lint_triage());
+}
+
 TEST(EvalRequest, CotModelAccessorIsOptionalStyle) {
   EvalRequest request;
   EXPECT_FALSE(request.has_cot_model());

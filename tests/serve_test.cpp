@@ -503,15 +503,18 @@ TEST(LineProtocol, CoalescedAndOneshotVerdictsAreBitIdentical) {
   EXPECT_EQ(verdicts[0], verdicts[1]);
   EXPECT_EQ(verdicts[1], verdicts[2]);
 
-  bool saw_coalesced_job = false, saw_stats = false, saw_drained = false;
+  // Tenant-b (client job 2) coalesces onto tenant-a's job. Its JOB line says
+  // "coalesced" while that job is in flight but "done" when tenant-a already
+  // finished (a memo hit), so the RESULT line's flag is what is checked.
+  bool saw_coalesced_result = false, saw_stats = false, saw_drained = false;
   for (const std::string& line : lines) {
-    saw_coalesced_job |= line.find("coalesced") != std::string::npos &&
-                         line.rfind("JOB", 0) == 0;
+    saw_coalesced_result |= line.rfind("RESULT 2 done ", 0) == 0 &&
+                            line.find(" coalesced=1 ") != std::string::npos;
     saw_stats |= line.rfind("STATS", 0) == 0 &&
                  line.find("coalesced=1") != std::string::npos;
     saw_drained |= line == "DRAINED";
   }
-  EXPECT_TRUE(saw_coalesced_job) << out.str();
+  EXPECT_TRUE(saw_coalesced_result) << out.str();
   EXPECT_TRUE(saw_stats) << out.str();
   EXPECT_TRUE(saw_drained) << out.str();
 }
