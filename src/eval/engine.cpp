@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <ctime>
 #include <future>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -224,10 +225,11 @@ struct PreparedTask {
   bool lint = false;
   bool lint_triage = false;
   lint::ReferenceProfile profile;
-  // False when prove is off or the task is outside the provable fragment
-  // (sequential, sweep too wide, golden doesn't lower, or a step budget is
-  // in force): every candidate then simulates, with no fallback counted.
-  bool provable = false;
+  // The golden's compiled Program when prove is on and the task is in the
+  // provable fragment; empty (sequential, sweep too wide, golden doesn't
+  // lower, or a step budget is in force) means every candidate simulates,
+  // with no fallback counted.
+  std::optional<sim::Program> prove_golden;
   prove::ProveOptions prove_opts;
   // Null cache = caching off. `extended` selects the v3 verdict payload
   // carrying fail_reason (repair-enabled runs only; their task seeds already
@@ -297,10 +299,11 @@ PreparedTask prepare_task(const EvalTask& task, const EvalRequest& request) {
   // budget exhausts per candidate, counted under prove_fallback, instead of
   // silently disabling the task.
   p.prove_opts.node_budget = request.prove_budget;
-  p.provable = request.prove && p.golden_ok && request.sim_step_budget == 0 &&
-               task.stimulus.step_budget == 0 &&
-               prove::golden_provable(p.golden.file.modules.front(), &p.golden.file,
-                                      task.stimulus, prove::ProveOptions{0});
+  if (request.prove && p.golden_ok && request.sim_step_budget == 0 &&
+      task.stimulus.step_budget == 0) {
+    p.prove_golden = prove::provable_golden(p.golden.file.modules.front(), &p.golden.file,
+                                            task.stimulus, prove::ProveOptions{0});
+  }
 
   // Cache seed: task identity + eval knobs hashed once. The per-candidate key
   // then adds the candidate's content and its stimulus stream (see
@@ -464,11 +467,11 @@ CandidateOutcome run_candidate(const llm::SimLlm& model, const EvalTask& task,
   // candidate with a proven lint failure counts once, under lint_triaged —
   // and before simulation. A proven verdict is bit-identical to the diff
   // testbench's by construction; anything else falls through to it.
-  if (prep.provable) {
+  if (prep.prove_golden) {
     const Clock::time_point prove_start = Clock::now();
     const prove::ProveResult proof =
         prove::prove_equivalence(cand, &parsed.file, prep.golden.file.modules.front(),
-                                 &prep.golden.file, task.stimulus, prep.prove_opts);
+                                 *prep.prove_golden, task.stimulus, prep.prove_opts);
     if (stats != nullptr) stats->prove_seconds = seconds_since(prove_start);
     deadline.check("prove");
     if (proof.status == prove::ProveStatus::kEquivalent ||

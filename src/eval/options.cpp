@@ -1,7 +1,7 @@
 #include "eval/options.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <climits>
 #include <cstring>
 #include <iostream>
 
@@ -22,6 +22,31 @@ struct FlagSpec {
   bool (*apply)(RequestOptions& o, const char* v, std::string* error);
 };
 
+// Strict value parsers: the whole value must be one number in range, else
+// *error names the flag and what it wants (malformed values exit 2).
+bool bad_value(const char* flag, const char* want, const char* v, std::string* error) {
+  *error = std::string(flag) + " wants " + want + ", got '" + v + "'";
+  return false;
+}
+
+bool int_value(const char* flag, const char* v, long long min, int* out, std::string* error) {
+  long long i = 0;
+  if (!util::parse_i64(v, &i) || i < min || i > INT_MAX) {
+    return bad_value(flag, min == 0 ? "an integer >= 0" : min == 1 ? "an integer >= 1" : "an integer",
+                     v, error);
+  }
+  *out = static_cast<int>(i);
+  return true;
+}
+
+bool u64_value(const char* flag, const char* v, std::uint64_t* out, std::string* error) {
+  return util::parse_u64(v, out) || bad_value(flag, "an unsigned integer", v, error);
+}
+
+bool f64_value(const char* flag, const char* v, double* out, std::string* error) {
+  return util::parse_f64(v, out) || bad_value(flag, "a number", v, error);
+}
+
 const FlagSpec kFlags[] = {
     {"--fast", nullptr, "CI-friendly protocol: n=5, single temperature 0.2",
      [](RequestOptions& o, const char*, std::string*) {
@@ -32,30 +57,24 @@ const FlagSpec kFlags[] = {
      }},
     {"--n", "N", "samples per task (pass@k needs k <= n)",
      [](RequestOptions& o, const char* v, std::string* error) {
-       o.n_samples = std::atoi(v);
-       if (o.n_samples <= 0) {
-         *error = "--n wants a positive sample count";
-         return false;
-       }
-       return true;
+       return int_value("--n", v, 1, &o.n_samples, error);
      }},
     {"--temps", "a,b,c", "sampling temperatures to sweep",
      [](RequestOptions& o, const char* v, std::string* error) {
        o.temperatures.clear();
        for (const std::string& field : util::split(v, ',')) {
-         if (util::trim(field).empty()) continue;
-         o.temperatures.push_back(std::atof(field.c_str()));
+         const std::string_view trimmed = util::trim(field);
+         if (trimmed.empty()) continue;
+         double t = 0.0;
+         if (!util::parse_f64(trimmed, &t)) return bad_value("--temps", "e.g. 0.2,0.5,0.8", v, error);
+         o.temperatures.push_back(t);
        }
-       if (o.temperatures.empty()) {
-         *error = "--temps wants e.g. 0.2,0.5,0.8";
-         return false;
-       }
+       if (o.temperatures.empty()) return bad_value("--temps", "e.g. 0.2,0.5,0.8", v, error);
        return true;
      }},
     {"--seed", "N", "base evaluation seed",
-     [](RequestOptions& o, const char* v, std::string*) {
-       o.seed = std::strtoull(v, nullptr, 10);
-       return true;
+     [](RequestOptions& o, const char* v, std::string* error) {
+       return u64_value("--seed", v, &o.seed, error);
      }},
     {"--sicot", nullptr, "refine prompts through the SI-CoT pipeline",
      [](RequestOptions& o, const char*, std::string*) {
@@ -68,9 +87,8 @@ const FlagSpec kFlags[] = {
        return true;
      }},
     {"--threads", "N", "worker threads (0 = one per hardware thread)",
-     [](RequestOptions& o, const char* v, std::string*) {
-       o.threads = std::atoi(v);
-       return true;
+     [](RequestOptions& o, const char* v, std::string* error) {
+       return int_value("--threads", v, INT_MIN, &o.threads, error);
      }},
     {"--serial", nullptr, "single-threaded evaluation (= --threads=1)",
      [](RequestOptions& o, const char*, std::string*) {
@@ -78,14 +96,12 @@ const FlagSpec kFlags[] = {
        return true;
      }},
     {"--deadline-ms", "N", "per-attempt wall-clock deadline (0 = none)",
-     [](RequestOptions& o, const char* v, std::string*) {
-       o.deadline_ms = std::atoi(v);
-       return true;
+     [](RequestOptions& o, const char* v, std::string* error) {
+       return int_value("--deadline-ms", v, INT_MIN, &o.deadline_ms, error);
      }},
     {"--retries", "N", "transient-fault retries per work unit",
-     [](RequestOptions& o, const char* v, std::string*) {
-       o.retries = std::atoi(v);
-       return true;
+     [](RequestOptions& o, const char* v, std::string* error) {
+       return int_value("--retries", v, INT_MIN, &o.retries, error);
      }},
     {"--fail-fast", nullptr, "abort the run on the first faulted unit",
      [](RequestOptions& o, const char*, std::string*) {
@@ -93,9 +109,8 @@ const FlagSpec kFlags[] = {
        return true;
      }},
     {"--sim-budget", "N", "simulation step budget per candidate (0 = unbounded)",
-     [](RequestOptions& o, const char* v, std::string*) {
-       o.sim_step_budget = std::strtoull(v, nullptr, 10);
-       return true;
+     [](RequestOptions& o, const char* v, std::string* error) {
+       return u64_value("--sim-budget", v, &o.sim_step_budget, error);
      }},
     {"--sim-backend", "interp|compiled", "simulator backend (verdict-identical)",
      [](RequestOptions& o, const char* v, std::string* error) {
@@ -108,14 +123,12 @@ const FlagSpec kFlags[] = {
        return false;
      }},
     {"--inject", "P", "chaos-mode fault probability per site",
-     [](RequestOptions& o, const char* v, std::string*) {
-       o.inject = std::atof(v);
-       return true;
+     [](RequestOptions& o, const char* v, std::string* error) {
+       return f64_value("--inject", v, &o.inject, error);
      }},
     {"--inject-seed", "N", "chaos-mode injection seed",
-     [](RequestOptions& o, const char* v, std::string*) {
-       o.inject_seed = std::strtoull(v, nullptr, 10);
-       return true;
+     [](RequestOptions& o, const char* v, std::string* error) {
+       return u64_value("--inject-seed", v, &o.inject_seed, error);
      }},
     {"--lint", nullptr, "lint candidates against the golden reference profile",
      [](RequestOptions& o, const char*, std::string*) {
@@ -144,34 +157,22 @@ const FlagSpec kFlags[] = {
        return true;
      }},
     {"--prove-budget", "N", "BDD node budget per proof (0 = unbounded)",
-     [](RequestOptions& o, const char* v, std::string*) {
-       o.prove_budget = std::strtoull(v, nullptr, 10);
-       return true;
+     [](RequestOptions& o, const char* v, std::string* error) {
+       return u64_value("--prove-budget", v, &o.prove_budget, error);
      }},
     {"--repair-rounds", "N", "self-repair rounds per failed candidate (0 = off)",
      [](RequestOptions& o, const char* v, std::string* error) {
-       o.repair_rounds = std::atoi(v);
-       if (o.repair_rounds < 0) {
-         *error = "--repair-rounds wants an integer >= 0";
-         return false;
-       }
-       return true;
+       return int_value("--repair-rounds", v, 0, &o.repair_rounds, error);
      }},
     {"--repair-budget", "N", "total generations per candidate incl. round 0 (0 = rounds only)",
      [](RequestOptions& o, const char* v, std::string* error) {
-       o.repair_budget = std::atoi(v);
-       if (o.repair_budget < 0) {
-         *error = "--repair-budget wants an integer >= 0";
-         return false;
-       }
-       return true;
+       return int_value("--repair-budget", v, 0, &o.repair_budget, error);
      }},
     {"--repair-efficacy", "F", "repair feedback efficacy factor in [0,1]",
      [](RequestOptions& o, const char* v, std::string* error) {
-       o.repair_efficacy = std::atof(v);
-       if (o.repair_efficacy < 0.0 || o.repair_efficacy > 1.0) {
-         *error = "--repair-efficacy wants a number in [0, 1]";
-         return false;
+       if (!util::parse_f64(v, &o.repair_efficacy) || o.repair_efficacy < 0.0 ||
+           o.repair_efficacy > 1.0) {
+         return bad_value("--repair-efficacy", "a number in [0, 1]", v, error);
        }
        return true;
      }},
@@ -192,8 +193,10 @@ const FlagSpec kFlags[] = {
        return true;
      }},
     {"--cache-mb", "N", "result-cache budget in MiB",
-     [](RequestOptions& o, const char* v, std::string*) {
-       o.cache_mb = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+     [](RequestOptions& o, const char* v, std::string* error) {
+       std::uint64_t mb = 0;
+       if (!u64_value("--cache-mb", v, &mb, error)) return false;
+       o.cache_mb = static_cast<std::size_t>(mb);
        return true;
      }},
     {"--bench-json", "PATH", "append a machine-readable run record",

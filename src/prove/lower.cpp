@@ -1,39 +1,46 @@
-// Dual-rail symbolic lowering (lower.h, DESIGN.md §12). Every rule here
-// mirrors a specific construct in sim/simulator.cpp or sim/value.h; where the
-// correspondence is not obvious a comment names the mirrored behaviour. The
-// cardinal rule: when the settled state cannot be reproduced bit-identically
-// as a pure function of the swept inputs, throw UnsupportedError — never
-// approximate.
+// Dual-rail symbolic execution of sim::Program bytecode (lower.h,
+// DESIGN.md §12). Each opcode maps to the symbolic twin of the v_* helper
+// program.cpp calls for it, so the prover and the compiled simulator read
+// one lowering of the Verilog source. The cardinal rule: when the settled
+// state cannot be reproduced bit-identically as a pure function of the
+// swept inputs, throw UnsupportedError — never approximate.
+//
+// Control flow: a process runs as a set of path states (path condition,
+// scratch registers, the bits written so far) taken in ascending pc order.
+// A conditional jump on a symbolic condition forks; the states meeting at a
+// pc merge, bit by bit, into an if-then-else. Compiled code is structured
+// and only a for loop's back edge jumps backwards, so every path through an
+// if, case or ternary has merged before any later instruction runs, and a
+// back edge is always taken by the one state inside its loop.
 #include "prove/lower.h"
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
-#include <set>
+#include <map>
 #include <string>
+#include <type_traits>
 #include <utility>
 
+#include "sim/compile.h"
 #include "sim/value.h"
-#include "verilog/ast.h"
 
 namespace haven::prove {
 namespace {
 
-using sim::ElabDesign;
-using sim::ElabProcess;
+using sim::Instr;
+using sim::Op;
 using sim::ProcessKind;
+using sim::ProgProcess;
+using sim::Program;
 using sim::Value;
 using verilog::CaseKind;
-using verilog::ExprKind;
-using verilog::ExprPtr;
-using verilog::StmtKind;
-using verilog::StmtPtr;
 
-// Mirrors simulator.cpp's loop cap; exceeding it there flags non-convergence,
-// here it forces the simulation fallback which reproduces that flag.
+// program.cpp's loop cap; exceeding it there flags non-convergence, here it
+// forces the simulation fallback which reproduces that flag.
 constexpr int kMaxLoopIterations = 1 << 16;
-// Strictly below the simulator's kMaxDeltaCycles so an acyclic design we
-// accept can never be one the simulator fails to settle.
+// Longest chain of combinational processes: strictly below the simulator's
+// delta-cycle cap (1000) so an acyclic design we accept can never be one the
+// simulator fails to settle.
 constexpr int kMaxCombDepth = 990;
 
 [[noreturn]] void unsupported(const std::string& reason) { throw UnsupportedError(reason); }
@@ -43,38 +50,61 @@ int checked_width(int w) {
   return w;
 }
 
+bool is_store(Op op) {
+  return op == Op::kStoreSig || op == Op::kStoreBitDyn || op == Op::kNbaSig ||
+         op == Op::kNbaBitDyn;
+}
+
 class Lowerer {
  public:
-  Lowerer(Aig* aig, const ElabDesign& design,
+  Lowerer(Aig* aig, const Program& program,
           const std::map<std::string, std::vector<Lit>>& input_vars)
-      : aig_(aig), budget_(aig->budget()), design_(design), input_vars_(input_vars) {}
+      : aig_(aig),
+        budget_(aig->budget()),
+        prog_(program),
+        input_vars_(input_vars),
+        nsig_(static_cast<std::uint32_t>(program.signals.size())) {}
 
   std::vector<Word> run();
 
  private:
-  // Per-activation shadow state of one combinational process. kBottom = not
-  // yet assigned this activation, kVal = assigned, kPoison = assigned on some
-  // but not all paths (a latch if it survives to commit).
-  enum class BState : unsigned char { kBottom, kPoison, kVal };
-  struct OBit {
-    BState st = BState::kBottom;
-    Bit bit;
+  // A scratch register: a word, unset (width 0), or a value the lowering
+  // cannot model (`bad` says why). A bad value aborts the proof only when it
+  // reaches a store or a branch, so a strict kSelect whose untaken arm
+  // divides by a symbolic value still lowers.
+  struct Reg {
+    Word w = Word(0);
+    const char* bad = nullptr;
   };
-  using Overlay = std::map<std::size_t, std::vector<OBit>>;
+  static Reg fail(const char* why) { return Reg{Word(0), why}; }
+
+  // One bit of a signal the running process writes: its value, and the
+  // condition under which the current path has written it.
+  struct TBit {
+    Bit bit;
+    Lit wr = kFalse;
+  };
+
+  // One path through the running process.
+  struct State {
+    Lit guard = kTrue;                   // path condition
+    std::vector<Reg> temps;              // register r >= nsig at [r - nsig]
+    std::vector<std::vector<TBit>> tgt;  // per target of the process
+    std::vector<int> loops;              // kLoopGuard counters; -1 = merged
+  };
+  using Pending = std::map<std::uint32_t, std::vector<State>>;  // pc -> arrivals
+
   struct NbaWrite {
-    std::size_t id;
+    std::uint32_t slot;
     int hi, lo;
     Word value;
   };
 
-  struct Ctx {
-    bool initial = false;
-    Overlay overlay;                       // comb mode: targets of the process
-    std::vector<NbaWrite>* nba = nullptr;  // initial mode: queued NBAs
-    // Bits the active process may ever write (per target signal); reading a
-    // still-kBottom bit inside this mask would observe the previous
-    // activation, which a single pass cannot model.
-    const std::map<std::size_t, std::uint64_t>* write_masks = nullptr;
+  // A triggered combinational process and the signals it writes.
+  struct CombProc {
+    std::uint32_t pi = 0;
+    std::vector<std::uint32_t> targets;  // signal slots
+    std::vector<std::uint64_t> masks;    // per target: bits it may write
   };
 
   // --- word helpers ---------------------------------------------------------
@@ -82,27 +112,29 @@ class Lowerer {
   Lit lor(Lit a, Lit b) { return aig_->lor(a, b); }
   Lit lxor(Lit a, Lit b) { return aig_->lxor(a, b); }
   Lit lmux(Lit s, Lit t, Lit f) { return aig_->lmux(s, t, f); }
+  // Defined zero.
+  Lit zero(const Bit& b) { return land(lit_not(b.v), lit_not(b.x)); }
 
-  static Word all_x(int w) { return Word(checked_width(w)); }
+  static Word bit1(Lit v, Lit x) {
+    Word out(1);
+    out[0] = Bit{v, x};
+    return out;
+  }
 
-  Word from_value(const Value& v) const {
+  static Word from_value(const Value& v) {
     Word w(v.width());
-    for (int i = 0; i < v.width(); ++i) {
-      if ((v.xz() >> i) & 1)
-        w.bits[static_cast<std::size_t>(i)] = Bit{kFalse, kTrue};
-      else
-        w.bits[static_cast<std::size_t>(i)] = Bit{((v.bits() >> i) & 1) ? kTrue : kFalse, kFalse};
-    }
+    for (int i = 0; i < v.width(); ++i)
+      w[i] = (v.xz() >> i) & 1 ? Bit{kFalse, kTrue} : Bit{(v.bits() >> i) & 1 ? kTrue : kFalse, kFalse};
     return w;
   }
 
   static bool word_const(const Word& w, Value* out) {
     std::uint64_t bits = 0, xz = 0;
     for (int i = 0; i < w.width(); ++i) {
-      const Bit& b = w.bits[static_cast<std::size_t>(i)];
+      const Bit& b = w[i];
       if ((b.v != kFalse && b.v != kTrue) || (b.x != kFalse && b.x != kTrue)) return false;
-      if (b.v == kTrue) bits |= std::uint64_t{1} << i;
-      if (b.x == kTrue) xz |= std::uint64_t{1} << i;
+      bits |= std::uint64_t{b.v == kTrue} << i;
+      xz |= std::uint64_t{b.x == kTrue} << i;
     }
     *out = Value::with_xz(bits, xz, w.width());
     return true;
@@ -110,11 +142,8 @@ class Lowerer {
 
   // Zero-extend or truncate, mirroring Value::resized.
   static Word resized(const Word& w, int nw) {
-    checked_width(nw);
-    Word out(nw);
-    for (int i = 0; i < nw; ++i)
-      out.bits[static_cast<std::size_t>(i)] =
-          i < w.width() ? w.bits[static_cast<std::size_t>(i)] : Bit{kFalse, kFalse};
+    Word out(checked_width(nw));
+    for (int i = 0; i < nw; ++i) out[i] = i < w.width() ? w[i] : Bit{kFalse, kFalse};
     return out;
   }
 
@@ -133,8 +162,7 @@ class Lowerer {
 
   std::vector<Lit> vplane(const Word& w, int nw) {
     std::vector<Lit> out(static_cast<std::size_t>(nw), kFalse);
-    for (int i = 0; i < nw && i < w.width(); ++i)
-      out[static_cast<std::size_t>(i)] = w.bits[static_cast<std::size_t>(i)].v;
+    for (int i = 0; i < nw && i < w.width(); ++i) out[static_cast<std::size_t>(i)] = w[i].v;
     return out;
   }
 
@@ -142,11 +170,9 @@ class Lowerer {
   // whole result X (v_add/v_sub/v_mul/v_neg).
   Word guard(Lit ax, const std::vector<Lit>& vbits) {
     Word out(static_cast<int>(vbits.size()));
-    const Lit def = lit_not(ax);
-    for (std::size_t i = 0; i < vbits.size(); ++i) out.bits[i] = Bit{land(def, vbits[i]), ax};
+    for (std::size_t i = 0; i < vbits.size(); ++i) out.bits[i] = Bit{land(lit_not(ax), vbits[i]), ax};
     return out;
   }
-  Word guard1(Lit ax, Lit v) { return guard(ax, {v}); }
 
   std::vector<Lit> ripple_add(const std::vector<Lit>& a, const std::vector<Lit>& b, Lit cin) {
     std::vector<Lit> s(a.size(), kFalse);
@@ -165,58 +191,56 @@ class Lowerer {
     const int w = idx.width();
     if (w < 64 && (k >> w) != 0) return kFalse;
     Lit acc = kTrue;
-    for (int i = 0; i < w; ++i) {
-      const Lit bit = idx.bits[static_cast<std::size_t>(i)].v;
-      acc = land(acc, ((k >> i) & 1) ? bit : lit_not(bit));
-    }
+    for (int i = 0; i < w; ++i) acc = land(acc, ((k >> i) & 1) ? idx[i].v : lit_not(idx[i].v));
     return acc;
   }
 
   // --- operator kernels (symbolic mirrors of the v_* functions) -------------
-  Word w_and(const Word& a0, const Word& b0) {
+  // Per-bit op on both operands zero-extended to the wider width.
+  template <typename F>
+  Word bitwise(const Word& a0, const Word& b0, F f) {
     const int w = std::max(a0.width(), b0.width());
     const Word a = resized(a0, w), b = resized(b0, w);
     Word out(w);
-    for (int i = 0; i < w; ++i) {
-      const Bit &ab = a.bits[static_cast<std::size_t>(i)], &bb = b.bits[static_cast<std::size_t>(i)];
-      const Lit zero = lor(land(lit_not(ab.v), lit_not(ab.x)), land(lit_not(bb.v), lit_not(bb.x)));
-      const Lit one = land(ab.v, bb.v);
-      out.bits[static_cast<std::size_t>(i)] = Bit{one, lit_not(lor(zero, one))};
-    }
+    for (int i = 0; i < w; ++i) out[i] = f(a[i], b[i]);
     return out;
   }
 
-  Word w_or(const Word& a0, const Word& b0) {
-    const int w = std::max(a0.width(), b0.width());
-    const Word a = resized(a0, w), b = resized(b0, w);
-    Word out(w);
-    for (int i = 0; i < w; ++i) {
-      const Bit &ab = a.bits[static_cast<std::size_t>(i)], &bb = b.bits[static_cast<std::size_t>(i)];
-      const Lit one = lor(ab.v, bb.v);
-      const Lit zero = land(land(lit_not(ab.v), lit_not(ab.x)), land(lit_not(bb.v), lit_not(bb.x)));
-      out.bits[static_cast<std::size_t>(i)] = Bit{one, lit_not(lor(zero, one))};
-    }
-    return out;
+  Word w_and(const Word& a, const Word& b) {
+    return bitwise(a, b, [&](const Bit& x, const Bit& y) {
+      const Lit z = lor(zero(x), zero(y));
+      const Lit one = land(x.v, y.v);
+      return Bit{one, lit_not(lor(z, one))};
+    });
   }
 
-  Word w_xor(const Word& a0, const Word& b0) {
-    const int w = std::max(a0.width(), b0.width());
-    const Word a = resized(a0, w), b = resized(b0, w);
-    Word out(w);
-    for (int i = 0; i < w; ++i) {
-      const Bit &ab = a.bits[static_cast<std::size_t>(i)], &bb = b.bits[static_cast<std::size_t>(i)];
-      const Lit x = lor(ab.x, bb.x);
-      out.bits[static_cast<std::size_t>(i)] = Bit{land(lxor(ab.v, bb.v), lit_not(x)), x};
-    }
-    return out;
+  Word w_or(const Word& a, const Word& b) {
+    return bitwise(a, b, [&](const Bit& x, const Bit& y) {
+      const Lit one = lor(x.v, y.v);
+      const Lit z = land(zero(x), zero(y));
+      return Bit{one, lit_not(lor(z, one))};
+    });
+  }
+
+  Word w_xor(const Word& a, const Word& b) {
+    return bitwise(a, b, [&](const Bit& x, const Bit& y) {
+      const Lit ux = lor(x.x, y.x);
+      return Bit{land(lxor(x.v, y.v), lit_not(ux)), ux};
+    });
+  }
+
+  // Bitwise merge under an unknown condition, at the wider width (the
+  // X-merge of kSelect and kMergeX).
+  Word merge_x(const Word& t, const Word& f) {
+    return bitwise(t, f, [&](const Bit& x, const Bit& y) {
+      const Lit agree = land(lit_not(lxor(x.v, y.v)), land(lit_not(x.x), lit_not(y.x)));
+      return Bit{land(x.v, agree), lit_not(agree)};
+    });
   }
 
   Word w_not(const Word& a) {
     Word out(a.width());
-    for (int i = 0; i < a.width(); ++i) {
-      const Bit& ab = a.bits[static_cast<std::size_t>(i)];
-      out.bits[static_cast<std::size_t>(i)] = Bit{land(lit_not(ab.v), lit_not(ab.x)), ab.x};
-    }
+    for (int i = 0; i < a.width(); ++i) out[i] = Bit{zero(a[i]), a[i].x};
     return out;
   }
 
@@ -239,46 +263,39 @@ class Lowerer {
     const Lit ax = lor(any_x(a), any_x(b));
     const std::vector<Lit> va = vplane(a, w), vb = vplane(b, w);
     std::vector<Lit> acc(static_cast<std::size_t>(w), kFalse);
-    for (int i = 0; i < w; ++i) {
-      if (vb[static_cast<std::size_t>(i)] == kFalse) continue;
-      std::vector<Lit> row(static_cast<std::size_t>(w), kFalse);
-      for (int j = i; j < w; ++j)
-        row[static_cast<std::size_t>(j)] =
-            land(vb[static_cast<std::size_t>(i)], va[static_cast<std::size_t>(j - i)]);
+    for (std::size_t i = 0; i < vb.size(); ++i) {
+      if (vb[i] == kFalse) continue;
+      std::vector<Lit> row(vb.size(), kFalse);
+      for (std::size_t j = i; j < vb.size(); ++j) row[j] = land(vb[i], va[j - i]);
       acc = ripple_add(acc, row, kFalse);
     }
     return guard(ax, acc);
   }
 
   Word w_neg(const Word& a) {
-    const int w = a.width();
-    std::vector<Lit> na = vplane(a, w);
+    std::vector<Lit> na = vplane(a, a.width());
     for (Lit& l : na) l = lit_not(l);
-    return guard(any_x(a), ripple_add(na, std::vector<Lit>(static_cast<std::size_t>(w), kFalse), kTrue));
+    return guard(any_x(a), ripple_add(na, std::vector<Lit>(na.size(), kFalse), kTrue));
   }
 
   Word w_shift(const Word& a, const Word& b, bool left) {
     const int w = a.width();
     const Lit bx = any_x(b);
-    if (bx == kTrue) return all_x(w);
-    std::vector<Lit> rv(static_cast<std::size_t>(w), kFalse), rx(static_cast<std::size_t>(w), kFalse);
+    if (bx == kTrue) return Word(w);
+    // Shift counts >= w (including >= 64) match no eq term: a defined zero,
+    // exactly v_shl/v_shr's masked result.
+    Word out(w);
+    for (int j = 0; j < w; ++j) out[j] = Bit{kFalse, kFalse};
     for (int k = 0; k < w; ++k) {
       const Lit eq = eq_const(b, static_cast<std::uint64_t>(k));
       if (eq == kFalse) continue;
       for (int j = 0; j < w; ++j) {
         const int src = left ? j - k : j + k;
         if (src < 0 || src >= w) continue;
-        const Bit& sb = a.bits[static_cast<std::size_t>(src)];
-        rv[static_cast<std::size_t>(j)] = lor(rv[static_cast<std::size_t>(j)], land(eq, sb.v));
-        rx[static_cast<std::size_t>(j)] = lor(rx[static_cast<std::size_t>(j)], land(eq, sb.x));
+        out[j] = Bit{lor(out[j].v, land(eq, a[src].v)), lor(out[j].x, land(eq, a[src].x))};
       }
     }
-    // Shift counts >= w (including >= 64) match no eq term: a defined zero,
-    // exactly v_shl/v_shr's masked result.
-    Word out(w);
-    for (int j = 0; j < w; ++j)
-      out.bits[static_cast<std::size_t>(j)] =
-          Bit{land(lit_not(bx), rv[static_cast<std::size_t>(j)]), lor(bx, rx[static_cast<std::size_t>(j)])};
+    for (int j = 0; j < w; ++j) out[j] = Bit{land(lit_not(bx), out[j].v), lor(bx, out[j].x)};
     return out;
   }
 
@@ -287,809 +304,675 @@ class Lowerer {
     const Word a = resized(a0, w), b = resized(b0, w);
     Lit mismatch = kFalse, anyx = kFalse;
     for (int i = 0; i < w; ++i) {
-      const Bit &ab = a.bits[static_cast<std::size_t>(i)], &bb = b.bits[static_cast<std::size_t>(i)];
-      mismatch = lor(mismatch, land(land(lit_not(ab.x), lit_not(bb.x)), lxor(ab.v, bb.v)));
-      anyx = lor(anyx, lor(ab.x, bb.x));
+      mismatch = lor(mismatch, land(land(lit_not(a[i].x), lit_not(b[i].x)), lxor(a[i].v, b[i].v)));
+      anyx = lor(anyx, lor(a[i].x, b[i].x));
     }
-    Word out(1);
-    out.bits[0] = Bit{land(lit_not(mismatch), lit_not(anyx)), land(lit_not(mismatch), anyx)};
-    return out;
+    return bit1(land(lit_not(mismatch), lit_not(anyx)), land(lit_not(mismatch), anyx));
   }
 
   Word w_neq(const Word& a, const Word& b) {
     const Word e = w_eq(a, b);
-    Word out(1);
-    out.bits[0] = Bit{land(lit_not(e.bits[0].v), lit_not(e.bits[0].x)), e.bits[0].x};
-    return out;
+    return bit1(zero(e[0]), e[0].x);
   }
 
-  Word w_case_eq(const Word& a0, const Word& b0, bool negate) {
+  // ===: every bit identical, X included.
+  Word w_case_eq(const Word& a0, const Word& b0) {
     const int w = std::max(a0.width(), b0.width());
     const Word a = resized(a0, w), b = resized(b0, w);
     Lit same = kTrue;
-    for (int i = 0; i < w; ++i) {
-      const Bit &ab = a.bits[static_cast<std::size_t>(i)], &bb = b.bits[static_cast<std::size_t>(i)];
-      same = land(same, land(lit_not(lxor(ab.v, bb.v)), lit_not(lxor(ab.x, bb.x))));
-    }
-    Word out(1);
-    out.bits[0] = Bit{negate ? lit_not(same) : same, kFalse};
-    return out;
+    for (int i = 0; i < w; ++i)
+      same = land(same, land(lit_not(lxor(a[i].v, b[i].v)), lit_not(lxor(a[i].x, b[i].x))));
+    return bit1(same, kFalse);
   }
 
-  enum class Cmp { kLt, kLe, kGt, kGe };
-  Word w_cmp(const Word& a, const Word& b, Cmp cmp) {
+  // kCaseCmp: 1 iff the subject matches the label, wildcards per case kind.
+  Word w_case_cmp(const Word& subject, const Word& label, CaseKind kind) {
+    const int w = std::max(subject.width(), label.width());
+    const Word sv = resized(subject, w), lv = resized(label, w);
+    Lit m = kTrue;
+    for (int i = 0; i < w; ++i) {
+      Lit wildcard = kFalse;
+      if (kind == CaseKind::kCasez) wildcard = lv[i].x;
+      else if (kind == CaseKind::kCasex) wildcard = lor(lv[i].x, sv[i].x);
+      const Lit same = land(lit_not(lxor(sv[i].v, lv[i].v)), lit_not(lxor(sv[i].x, lv[i].x)));
+      m = land(m, lor(wildcard, same));
+    }
+    return bit1(m, kFalse);
+  }
+
+  Word w_cmp(const Word& a, const Word& b, Op op) {
     const Lit anyx = lor(any_x(a), any_x(b));
     const int w = std::max(a.width(), b.width());
     const std::vector<Lit> va = vplane(a, w), vb = vplane(b, w);
     Lit lt = kFalse, eqp = kTrue;
-    for (int i = w - 1; i >= 0; --i) {
-      lt = lor(lt, land(eqp, land(lit_not(va[static_cast<std::size_t>(i)]), vb[static_cast<std::size_t>(i)])));
-      eqp = land(eqp, lit_not(lxor(va[static_cast<std::size_t>(i)], vb[static_cast<std::size_t>(i)])));
+    for (std::size_t i = va.size(); i-- > 0;) {
+      lt = lor(lt, land(eqp, land(lit_not(va[i]), vb[i])));
+      eqp = land(eqp, lit_not(lxor(va[i], vb[i])));
     }
     const Lit le = lor(lt, eqp);
-    Lit r = kFalse;
-    switch (cmp) {
-      case Cmp::kLt: r = lt; break;
-      case Cmp::kLe: r = le; break;
-      case Cmp::kGt: r = lit_not(le); break;
-      case Cmp::kGe: r = lit_not(lt); break;
-    }
-    return guard1(anyx, r);
+    const Lit r = op == Op::kLt ? lt : op == Op::kLe ? le : op == Op::kGt ? lit_not(le) : lit_not(lt);
+    return guard(anyx, {r});
   }
 
   Word w_logical_not(const Word& a) {
     const Lit one = any_v(a), x = any_x(a);
-    Word out(1);
-    out.bits[0] = Bit{land(lit_not(one), lit_not(x)), land(lit_not(one), x)};
-    return out;
+    return bit1(land(lit_not(one), lit_not(x)), land(lit_not(one), x));
   }
 
   Word w_logical_bin(const Word& a, const Word& b, bool is_and) {
     const Lit at = any_v(a), bt = any_v(b);
     const Lit af = land(lit_not(at), lit_not(any_x(a)));
     const Lit bf = land(lit_not(bt), lit_not(any_x(b)));
-    Lit v, zero;
-    if (is_and) {
-      v = land(at, bt);
-      zero = lor(af, bf);
-    } else {
-      v = lor(at, bt);
-      zero = land(af, bf);
-    }
-    Word out(1);
-    out.bits[0] = Bit{v, land(lit_not(v), lit_not(zero))};
-    return out;
+    const Lit v = is_and ? land(at, bt) : lor(at, bt);
+    const Lit z = is_and ? lor(af, bf) : land(af, bf);
+    return bit1(v, land(lit_not(v), lit_not(z)));
   }
 
   Word w_red_and(const Word& a) {
     Lit def0 = kFalse;
-    for (const Bit& b : a.bits) def0 = lor(def0, land(lit_not(b.v), lit_not(b.x)));
+    for (const Bit& b : a.bits) def0 = lor(def0, zero(b));
     const Lit x = any_x(a);
-    Word out(1);
-    out.bits[0] = Bit{land(lit_not(def0), lit_not(x)), land(lit_not(def0), x)};
-    return out;
+    return bit1(land(lit_not(def0), lit_not(x)), land(lit_not(def0), x));
   }
 
   Word w_red_or(const Word& a) {
     const Lit one = any_v(a), x = any_x(a);
-    Word out(1);
-    out.bits[0] = Bit{one, land(lit_not(one), x)};
-    return out;
+    return bit1(one, land(lit_not(one), x));
   }
 
   Word w_red_xor(const Word& a) {
     const Lit x = any_x(a);
     Lit parity = kFalse;
     for (const Bit& b : a.bits) parity = lxor(parity, b.v);
-    return guard1(x, parity);
+    return guard(x, {parity});
   }
 
   Word w_concat(const Word& hi, const Word& lo) {
     if (hi.width() + lo.width() > 64) unsupported("concatenation wider than 64 bits");
-    Word out(hi.width() + lo.width());
-    for (int i = 0; i < lo.width(); ++i) out.bits[static_cast<std::size_t>(i)] = lo.bits[static_cast<std::size_t>(i)];
-    for (int i = 0; i < hi.width(); ++i)
-      out.bits[static_cast<std::size_t>(lo.width() + i)] = hi.bits[static_cast<std::size_t>(i)];
+    Word out(lo);
+    out.bits.insert(out.bits.end(), hi.bits.begin(), hi.bits.end());
     return out;
   }
 
-  // --- signal reads ---------------------------------------------------------
-  std::size_t lookup(const std::string& name) const {
-    const auto it = design_.signal_ids.find(name);
-    if (it == design_.signal_ids.end()) unsupported("undeclared identifier '" + name + "'");
-    return it->second;
+  // --- registers ------------------------------------------------------------
+  // Bit j of signal `slot` as path `s` sees it; nullptr, or why it cannot.
+  const char* read_bit(const State& s, std::uint32_t slot, int j, Bit* out) const {
+    const int t = tidx_[slot];
+    if (t >= 0) {
+      const TBit& tb = s.tgt[static_cast<std::size_t>(t)][static_cast<std::size_t>(j)];
+      if (tb.wr == kTrue) {
+        *out = tb.bit;
+        return nullptr;
+      }
+      if (tb.wr != kFalse) return "reads a conditionally-assigned target";
+      // Not yet written on this path: sound only for bits the process can
+      // never write. A writable bit would observe the previous activation,
+      // which one pass cannot model.
+      if ((masks_[static_cast<std::size_t>(t)] >> j) & 1)
+        return "reads its own target before assigning it";
+    }
+    // A settled value the process does not watch could change after it
+    // ran, leaving its result dependent on event order.
+    if (!initial_ && !watched_[slot]) return "incomplete sensitivity list";
+    *out = state_[slot][j];
+    return nullptr;
   }
 
-  Bit read_bit(std::size_t id, int j, Ctx& ctx) {
-    if (!ctx.initial) {
-      const auto it = ctx.overlay.find(id);
-      if (it != ctx.overlay.end()) {
-        const OBit& ob = it->second[static_cast<std::size_t>(j)];
-        if (ob.st == BState::kVal) return ob.bit;
-        if (ob.st == BState::kPoison) unsupported("reads a conditionally-assigned target");
-        // kBottom: sound only for bits this process can never write — those
-        // settle at the pre-activation state. A writable bit would observe
-        // the previous activation, which one pass cannot model.
-        const auto mit = ctx.write_masks->find(id);
-        if (mit != ctx.write_masks->end() && ((mit->second >> j) & 1))
-          unsupported("reads its own target before assigning it");
+  // Bits [lo, lo + n) of register r (n < 0: all); bits past its width read
+  // as defined 0 (Value's zero extension). A whole temporary comes back by
+  // reference, anything else is built in `scratch`.
+  const Reg& read(const State& s, std::uint32_t r, Reg& scratch, int lo = 0, int n = -1) const {
+    const Reg* t = r >= nsig_ ? &s.temps[r - nsig_] : nullptr;
+    if (t && !t->bad && t->w.width() == 0) return scratch = fail("reads an unwritten register");
+    if (t && (t->bad || (lo == 0 && (n < 0 || n == t->w.width())))) return *t;
+    const int w = t ? t->w.width() : prog_.signals[r].width;
+    scratch = Reg{Word(n < 0 ? w : n), nullptr};
+    for (int j = 0; j < scratch.w.width(); ++j) {
+      Bit& b = scratch.w[j];
+      if (lo + j >= w) b = Bit{kFalse, kFalse};
+      else if (t) b = t->w[lo + j];
+      else if (const char* why = read_bit(s, r, lo + j, &b)) return scratch = fail(why);
+    }
+    return scratch;
+  }
+
+  // Value ops write scratch registers only.
+  void set(State& s, std::uint32_t dst, Reg v) const { s.temps[dst - nsig_] = std::move(v); }
+
+  // --- one instruction ------------------------------------------------------
+  // r[dst] = f(r[a]) / f(r[a], r[b]); f is a kernel member or a callable.
+  template <typename F, typename... W>
+  Word apply(F f, const W&... w) {
+    if constexpr (std::is_member_function_pointer_v<F>)
+      return (this->*f)(w...);
+    else
+      return f(w...);
+  }
+
+  template <typename F>
+  void unary(State& s, const Instr& in, F f) {
+    Reg sa;
+    const Reg& a = read(s, in.a, sa);
+    set(s, in.dst, a.bad ? a : Reg{apply(f, a.w), nullptr});
+  }
+
+  template <typename F>
+  void binary(State& s, const Instr& in, F f) {
+    Reg sa, sb;
+    const Reg& a = read(s, in.a, sa);
+    const Reg& b = read(s, in.b, sb);
+    if (a.bad || b.bad) return set(s, in.dst, a.bad ? a : b);
+    set(s, in.dst, Reg{apply(f, a.w, b.w), nullptr});
+  }
+
+  // No AIG builder: exact through the v_* helper on constants, otherwise a
+  // bad value.
+  void constant_only(State& s, const Instr& in, Value (*f)(const Value&, const Value&)) {
+    Reg sa, sb;
+    const Reg& a = read(s, in.a, sa);
+    const Reg& b = read(s, in.b, sb);
+    if (a.bad || b.bad) return set(s, in.dst, a.bad ? a : b);
+    Value av, bv;
+    if (!word_const(a.w, &av) || !word_const(b.w, &bv))
+      return set(s, in.dst, fail("non-constant operand to '/', '%' or '**'"));
+    set(s, in.dst, Reg{from_value(f(av, bv)), nullptr});
+  }
+
+  void select(State& s, const Instr& in) {
+    Reg sc, sa, sb;
+    const Reg& c = read(s, in.a, sc);
+    if (c.bad) return set(s, in.dst, c);
+    const Lit t_lit = truthy_lit(c.w);
+    const Lit u_lit = any_x(c.w);
+    // Constant conditions pass one arm through untouched, like program.cpp.
+    if (t_lit == kTrue) return set(s, in.dst, read(s, in.b, sa));
+    if (t_lit == kFalse && u_lit == kFalse) return set(s, in.dst, read(s, in.c, sb));
+    const Reg& t = read(s, in.b, sa);
+    const Reg& f = read(s, in.c, sb);
+    if (t.bad) return set(s, in.dst, t);
+    if (f.bad) return set(s, in.dst, f);
+    // A symbolic condition's result width depends on the arm taken, so
+    // unequal widths cannot be modelled.
+    if (u_lit != kTrue && t.w.width() != f.w.width())
+      return set(s, in.dst, fail("ternary arms of different widths under a symbolic condition"));
+    Word out = merge_x(t.w, f.w);  // all a constant-X condition needs
+    if (u_lit != kTrue) {
+      for (int i = 0; i < out.width(); ++i) {
+        out[i] = Bit{lmux(t_lit, t.w[i].v, lmux(u_lit, out[i].v, f.w[i].v)),
+                     lmux(t_lit, t.w[i].x, lmux(u_lit, out[i].x, f.w[i].x))};
       }
     }
-    return state_[id].bits[static_cast<std::size_t>(j)];
+    set(s, in.dst, Reg{std::move(out), nullptr});
   }
 
-  Word read_signal(std::size_t id, Ctx& ctx) {
-    const int sw = design_.signals[id].width;
-    Word out(sw);
-    for (int j = 0; j < sw; ++j) out.bits[static_cast<std::size_t>(j)] = read_bit(id, j, ctx);
-    return out;
-  }
-
-  // --- expression evaluation (mirror of Simulator::eval) --------------------
-  Word eval(const ExprPtr& e, Ctx& ctx) {
-    budget_->charge();
-    if (!e) unsupported("null expression");
-    switch (e->kind) {
-      case ExprKind::kNumber: {
-        const auto& n = e->number;
-        checked_width(n.width);
-        return from_value(Value::with_xz(n.value, n.xz_mask, n.width));
-      }
-      case ExprKind::kIdent:
-        return read_signal(lookup(e->ident), ctx);
-      case ExprKind::kBitSelect: {
-        const std::size_t id = lookup(e->ident);
-        const int sw = design_.signals[id].width;
-        const Word idx = eval(e->operands[0], ctx);
-        Value iv;
-        if (word_const(idx, &iv)) {
-          if (!iv.is_fully_defined()) return all_x(1);
-          if (iv.bits() >= static_cast<std::uint64_t>(sw)) return all_x(1);
-          Word out(1);
-          out.bits[0] = read_bit(id, static_cast<int>(iv.bits()), ctx);
-          return out;
-        }
-        // Symbolic index: one-hot select over every bit, X when the index is
-        // unknown or out of range (Simulator::eval kBitSelect).
-        const Word base = read_signal(id, ctx);
-        const Lit defined = lit_not(any_x(idx));
-        Lit sel_v = kFalse, sel_def = kFalse;
-        for (int j = 0; j < sw; ++j) {
-          const Lit eq = eq_const(idx, static_cast<std::uint64_t>(j));
-          sel_v = lor(sel_v, land(eq, base.bits[static_cast<std::size_t>(j)].v));
-          sel_def = lor(sel_def, land(eq, lit_not(base.bits[static_cast<std::size_t>(j)].x)));
-        }
-        Word out(1);
-        out.bits[0] = Bit{land(defined, sel_v), lit_not(land(defined, sel_def))};
-        return out;
-      }
-      case ExprKind::kPartSelect: {
-        const std::size_t id = lookup(e->ident);
-        const int sw = design_.signals[id].width;
-        const int hi = std::max(e->msb, e->lsb), lo = std::min(e->msb, e->lsb);
-        const int w = checked_width(hi - lo + 1);
-        if (lo >= sw) return all_x(w);
-        Word out(w);
-        for (int j = 0; j < w; ++j) {
-          const int sj = lo + j;
-          out.bits[static_cast<std::size_t>(j)] =
-              (sj >= 0 && sj < sw) ? read_bit(id, sj, ctx) : Bit{kFalse, kFalse};
-        }
-        return out;
-      }
-      case ExprKind::kUnary: {
-        const Word a = eval(e->operands[0], ctx);
-        const std::string& op = e->op;
-        if (op == "~") return w_not(a);
-        if (op == "!") return w_logical_not(a);
-        if (op == "-") return w_neg(a);
-        if (op == "&") return w_red_and(a);
-        if (op == "|") return w_red_or(a);
-        if (op == "^") return w_red_xor(a);
-        if (op == "~&") return w_not(w_red_and(a));
-        if (op == "~|") return w_not(w_red_or(a));
-        if (op == "~^" || op == "^~") return w_not(w_red_xor(a));
-        unsupported("unsupported unary operator '" + op + "'");
-      }
-      case ExprKind::kBinary: {
-        const Word a = eval(e->operands[0], ctx);
-        const Word b = eval(e->operands[1], ctx);
-        const std::string& op = e->op;
-        if (op == "&") return w_and(a, b);
-        if (op == "|") return w_or(a, b);
-        if (op == "^") return w_xor(a, b);
-        if (op == "~^" || op == "^~") return w_not(w_xor(a, b));
-        if (op == "~&") return w_not(w_and(a, b));
-        if (op == "~|") return w_not(w_or(a, b));
-        if (op == "+") return w_add(a, b);
-        if (op == "-") return w_sub(a, b);
-        if (op == "*") return w_mul(a, b);
-        if (op == "/" || op == "%" || op == "**") {
-          // No symbolic division: require constants and defer to the exact
-          // Value kernels (which also own the divide-by-zero => X rule).
-          Value av, bv;
-          if (!word_const(a, &av) || !word_const(b, &bv))
-            unsupported("non-constant operand to '" + op + "'");
-          if (op == "/") return from_value(v_div(av, bv));
-          if (op == "%") return from_value(v_mod(av, bv));
-          if (!av.is_fully_defined() || !bv.is_fully_defined())
-            return from_value(Value::all_x(av.width()));
-          std::uint64_t r = 1;  // simulator.cpp's ** loop, verbatim
-          for (std::uint64_t i = 0; i < bv.bits() && i < 64; ++i) r *= av.bits();
-          return from_value(Value::of(r, av.width()));
-        }
-        if (op == "<<" || op == "<<<") return w_shift(a, b, /*left=*/true);
-        if (op == ">>" || op == ">>>") return w_shift(a, b, /*left=*/false);
-        if (op == "==") return w_eq(a, b);
-        if (op == "!=") return w_neq(a, b);
-        if (op == "===") return w_case_eq(a, b, false);
-        if (op == "!==") return w_case_eq(a, b, true);
-        if (op == "<") return w_cmp(a, b, Cmp::kLt);
-        if (op == "<=") return w_cmp(a, b, Cmp::kLe);
-        if (op == ">") return w_cmp(a, b, Cmp::kGt);
-        if (op == ">=") return w_cmp(a, b, Cmp::kGe);
-        if (op == "&&") return w_logical_bin(a, b, /*is_and=*/true);
-        if (op == "||") return w_logical_bin(a, b, /*is_and=*/false);
-        unsupported("unsupported binary operator '" + op + "'");
-      }
-      case ExprKind::kTernary: {
-        const Word c = eval(e->operands[0], ctx);
-        const Lit t_lit = truthy_lit(c);
-        const Lit u_lit = any_x(c);
-        // Constant conditions take exactly one branch, like the simulator —
-        // the untaken branch is never evaluated (it may not even be legal).
-        if (t_lit == kTrue) return eval(e->operands[1], ctx);
-        if (t_lit == kFalse && u_lit == kFalse) return eval(e->operands[2], ctx);
-        const Word t = eval(e->operands[1], ctx);
-        const Word f = eval(e->operands[2], ctx);
-        if (u_lit == kTrue) {
-          // Constant unknown condition: bitwise branch merge at max width.
-          const int w = std::max(t.width(), f.width());
-          const Word tr = resized(t, w), fr = resized(f, w);
-          Word out(w);
-          for (int i = 0; i < w; ++i) {
-            const Bit &tb = tr.bits[static_cast<std::size_t>(i)], &fb = fr.bits[static_cast<std::size_t>(i)];
-            const Lit agree = land(lit_not(lxor(tb.v, fb.v)), land(lit_not(tb.x), lit_not(fb.x)));
-            out.bits[static_cast<std::size_t>(i)] = Bit{land(tb.v, agree), lit_not(agree)};
-          }
-          return out;
-        }
-        // Symbolic condition: the simulator's result width depends on which
-        // branch is taken, so unequal widths cannot be modelled.
-        if (t.width() != f.width())
-          unsupported("ternary branches of different widths under a symbolic condition");
-        Word out(t.width());
-        for (int i = 0; i < t.width(); ++i) {
-          const Bit &tb = t.bits[static_cast<std::size_t>(i)], &fb = f.bits[static_cast<std::size_t>(i)];
-          const Lit agree = land(lit_not(lxor(tb.v, fb.v)), land(lit_not(tb.x), lit_not(fb.x)));
-          const Lit merged_v = land(tb.v, agree);
-          const Lit merged_x = lit_not(agree);
-          out.bits[static_cast<std::size_t>(i)] =
-              Bit{lmux(t_lit, tb.v, lmux(u_lit, merged_v, fb.v)),
-                  lmux(t_lit, tb.x, lmux(u_lit, merged_x, fb.x))};
-        }
-        return out;
-      }
-      case ExprKind::kConcat: {
-        Word acc = eval(e->operands[0], ctx);
-        for (std::size_t i = 1; i < e->operands.size(); ++i)
-          acc = w_concat(acc, eval(e->operands[i], ctx));
-        return acc;
-      }
-      case ExprKind::kReplicate: {
-        const Word inner = eval(e->operands[0], ctx);
-        if (e->repeat * static_cast<std::uint64_t>(inner.width()) > 64)
-          unsupported("replication wider than 64 bits");
-        Word acc = inner;  // repeat == 0 returns the inner value, like eval()
-        for (std::uint64_t i = 1; i < e->repeat; ++i) acc = w_concat(acc, inner);
-        return acc;
-      }
+  void bit_select(State& s, const Instr& in) {
+    Reg si, sa;
+    const Reg& idx = read(s, in.b, si);
+    if (idx.bad) return set(s, in.dst, idx);
+    Value iv;
+    if (word_const(idx.w, &iv)) {
+      const Reg* t = in.a >= nsig_ ? &s.temps[in.a - nsig_] : nullptr;
+      const int w = t ? t->w.width() : prog_.signals[in.a].width;
+      if (t && (t->bad || w == 0)) return set(s, in.dst, read(s, in.a, sa));
+      if (!iv.is_fully_defined() || iv.bits() >= static_cast<std::uint64_t>(w))
+        return set(s, in.dst, Reg{Word(1), nullptr});  // X index or out of range: 1'bx
+      return set(s, in.dst, read(s, in.a, sa, static_cast<int>(iv.bits()), 1));
     }
-    unsupported("corrupt expression node");
+    // Symbolic index: one-hot select over every bit, X when the index is
+    // unknown or out of range.
+    const Reg& base = read(s, in.a, sa);
+    if (base.bad) return set(s, in.dst, base);
+    const Lit defined = lit_not(any_x(idx.w));
+    Lit sel_v = kFalse, sel_def = kFalse;
+    for (int j = 0; j < base.w.width(); ++j) {
+      const Lit eq = eq_const(idx.w, static_cast<std::uint64_t>(j));
+      sel_v = lor(sel_v, land(eq, base.w[j].v));
+      sel_def = lor(sel_def, land(eq, lit_not(base.w[j].x)));
+    }
+    set(s, in.dst, Reg{bit1(land(defined, sel_v), lit_not(land(defined, sel_def))), nullptr});
   }
 
-  // --- statements (mirror of Simulator::exec_stmt / assign_lvalue) ----------
-  Overlay merge(Lit sel, Overlay a, Overlay b) {
-    if (sel == kTrue) return a;
-    if (sel == kFalse) return b;
-    for (auto& [id, bits] : a) {
-      auto& other = b.at(id);
-      for (std::size_t i = 0; i < bits.size(); ++i) {
-        OBit& ab = bits[i];
-        const OBit& bb = other[i];
-        if (ab.st == BState::kVal && bb.st == BState::kVal) {
-          ab.bit.v = lmux(sel, ab.bit.v, bb.bit.v);
-          ab.bit.x = lmux(sel, ab.bit.x, bb.bit.x);
-        } else if (!(ab.st == BState::kBottom && bb.st == BState::kBottom)) {
-          ab.st = BState::kPoison;
-        }
+  void eval(State& s, const Instr& in) {
+    switch (in.op) {
+      case Op::kConst:
+        // Mode 1 holds a literal whose width Value rejects.
+        if (in.mode != 0) unsupported("vector width outside 1..64");
+        return set(s, in.dst, Reg{from_value(prog_.consts[in.a]), nullptr});
+      case Op::kMove: {
+        Reg sa;
+        return set(s, in.dst, read(s, in.a, sa));
       }
-    }
-    return a;
-  }
-
-  void write_field(std::size_t id, int lo, int hi, const Word& vv, Ctx& ctx) {
-    const int sw = design_.signals[id].width;
-    if (ctx.initial) {
-      for (int j = std::max(lo, 0); j <= hi && j < sw; ++j)
-        state_[id].bits[static_cast<std::size_t>(j)] = vv.bits[static_cast<std::size_t>(j - lo)];
-      return;
-    }
-    auto it = ctx.overlay.find(id);
-    if (it == ctx.overlay.end()) unsupported("write to a signal outside the process target set");
-    for (int j = std::max(lo, 0); j <= hi && j < sw; ++j)
-      it->second[static_cast<std::size_t>(j)] = OBit{BState::kVal, vv.bits[static_cast<std::size_t>(j - lo)]};
-  }
-
-  void symbolic_bit_write(std::size_t id, const Word& idx, const Word& v, Ctx& ctx) {
-    auto it = ctx.overlay.find(id);
-    if (it == ctx.overlay.end()) unsupported("write to a signal outside the process target set");
-    const int sw = design_.signals[id].width;
-    for (int j = 0; j < sw; ++j)
-      if (it->second[static_cast<std::size_t>(j)].st != BState::kVal)
-        unsupported("non-constant bit-select write to a partially-assigned signal");
-    const Word vv = resized(v, 1);
-    // An unknown index writes nothing; otherwise exactly the selected bit is
-    // replaced (assign_lvalue kBitSelect).
-    const Lit defined = lit_not(any_x(idx));
-    for (int j = 0; j < sw; ++j) {
-      const Lit cond = land(defined, eq_const(idx, static_cast<std::uint64_t>(j)));
-      Bit& old = it->second[static_cast<std::size_t>(j)].bit;
-      old.v = lmux(cond, vv.bits[0].v, old.v);
-      old.x = lmux(cond, vv.bits[0].x, old.x);
+      case Op::kAnd: return binary(s, in, &Lowerer::w_and);
+      case Op::kOr: return binary(s, in, &Lowerer::w_or);
+      case Op::kXor: return binary(s, in, &Lowerer::w_xor);
+      case Op::kAdd: return binary(s, in, &Lowerer::w_add);
+      case Op::kSub: return binary(s, in, &Lowerer::w_sub);
+      case Op::kMul: return binary(s, in, &Lowerer::w_mul);
+      case Op::kDiv: return constant_only(s, in, sim::v_div);
+      case Op::kMod: return constant_only(s, in, sim::v_mod);
+      case Op::kPow: return constant_only(s, in, sim::v_pow);
+      case Op::kShl:
+      case Op::kShr:
+        return binary(s, in, [&](const Word& a, const Word& b) { return w_shift(a, b, in.op == Op::kShl); });
+      case Op::kEq: return binary(s, in, &Lowerer::w_eq);
+      case Op::kNeq: return binary(s, in, &Lowerer::w_neq);
+      case Op::kCaseEq: return binary(s, in, &Lowerer::w_case_eq);
+      case Op::kLt:
+      case Op::kLe:
+      case Op::kGt:
+      case Op::kGe:
+        return binary(s, in, [&](const Word& a, const Word& b) { return w_cmp(a, b, in.op); });
+      case Op::kLogAnd:
+      case Op::kLogOr:
+        return binary(s, in, [&](const Word& a, const Word& b) {
+          return w_logical_bin(a, b, in.op == Op::kLogAnd);
+        });
+      case Op::kNot: return unary(s, in, &Lowerer::w_not);
+      case Op::kNeg: return unary(s, in, &Lowerer::w_neg);
+      case Op::kLogNot: return unary(s, in, &Lowerer::w_logical_not);
+      case Op::kRedAnd: return unary(s, in, &Lowerer::w_red_and);
+      case Op::kRedOr: return unary(s, in, &Lowerer::w_red_or);
+      case Op::kRedXor: return unary(s, in, &Lowerer::w_red_xor);
+      case Op::kSelect: return select(s, in);
+      case Op::kMergeX: return binary(s, in, &Lowerer::merge_x);
+      case Op::kConcat: return binary(s, in, &Lowerer::w_concat);
+      case Op::kReplicate:
+        return unary(s, in, [&](const Word& inner) {
+          if (std::uint64_t{in.b} * static_cast<std::uint64_t>(inner.width()) > 64)
+            unsupported("replication wider than 64 bits");
+          Word acc = inner;  // a zero count returns the inner value, like program.cpp
+          for (std::uint32_t i = 1; i < in.b; ++i) acc = w_concat(acc, inner);
+          return acc;
+        });
+      case Op::kSlice: {
+        const int w = checked_width(static_cast<int>(in.c));
+        if (in.mode != 0) return set(s, in.dst, Reg{Word(w), nullptr});  // past the signal: X
+        if (in.b > 63) unsupported("part-select offset outside 0..63");
+        Reg sa;
+        return set(s, in.dst, read(s, in.a, sa, static_cast<int>(in.b), w));
+      }
+      case Op::kBitDyn: return bit_select(s, in);
+      case Op::kResize: {
+        const int w = checked_width(static_cast<int>(in.b));
+        return unary(s, in, [&](const Word& a) { return resized(a, w); });
+      }
+      case Op::kCaseCmp:
+        return binary(s, in, [&](const Word& a, const Word& b) {
+          return w_case_cmp(a, b, static_cast<CaseKind>(in.mode));
+        });
+      default:
+        unsupported("corrupt program: control op evaluated as a value");
     }
   }
 
-  void assign_lvalue(const ExprPtr& lhs, const Word& v, bool nonblocking, Ctx& ctx) {
-    if (!lhs) unsupported("null lvalue");
-    if (lhs->kind == ExprKind::kConcat) {
-      int total = 0;
-      std::vector<int> widths;
-      for (const auto& part : lhs->operands) {
-        int w = 1;
-        if (part->kind == ExprKind::kIdent) {
-          w = design_.signals[lookup(part->ident)].width;
-        } else if (part->kind == ExprKind::kBitSelect) {
-          w = 1;
-        } else if (part->kind == ExprKind::kPartSelect) {
-          w = std::abs(part->msb - part->lsb) + 1;
-        } else {
-          unsupported("unsupported concat lvalue part");
-        }
-        widths.push_back(w);
-        total += w;
-      }
-      const Word vv = resized(v, total);
-      int offset = total;
-      for (std::size_t i = 0; i < lhs->operands.size(); ++i) {
-        offset -= widths[i];
-        Word slice(widths[i]);
-        for (int j = 0; j < widths[i]; ++j)
-          slice.bits[static_cast<std::size_t>(j)] = vv.bits[static_cast<std::size_t>(offset + j)];
-        assign_lvalue(lhs->operands[i], slice, nonblocking, ctx);
-      }
-      return;
-    }
-
-    const std::size_t id = lookup(lhs->ident);
-    const int sw = design_.signals[id].width;
-    int hi = 0, lo = 0;
-    if (lhs->kind == ExprKind::kIdent) {
-      hi = sw - 1;
-      lo = 0;
-    } else if (lhs->kind == ExprKind::kBitSelect) {
-      const Word idx = eval(lhs->operands[0], ctx);
-      Value iv;
-      if (!word_const(idx, &iv)) {
-        if (ctx.initial || nonblocking) unsupported("symbolic bit-select assignment target");
-        symbolic_bit_write(id, idx, v, ctx);
-        return;
-      }
-      if (!iv.is_fully_defined()) return;  // x index: no assignment
-      if (iv.bits() >= static_cast<std::uint64_t>(sw)) return;
-      hi = lo = static_cast<int>(iv.bits());
-    } else if (lhs->kind == ExprKind::kPartSelect) {
-      hi = std::max(lhs->msb, lhs->lsb);
-      lo = std::min(lhs->msb, lhs->lsb);
-    } else {
-      unsupported("unsupported lvalue");
-    }
-
-    const Word vv = resized(v, hi - lo + 1);
-    if (nonblocking) {
-      ctx.nba->push_back(NbaWrite{id, hi, lo, vv});
-      return;
-    }
-    write_field(id, lo, hi, vv, ctx);
-  }
-
-  Lit match_lit(const Word& subject, const ExprPtr& label, CaseKind kind, Ctx& ctx) {
-    const Word lv = eval(label, ctx);
-    const int w = std::max(subject.width(), lv.width());
-    const Word sv = resized(subject, w), lr = resized(lv, w);
-    Lit m = kTrue;
-    for (int i = 0; i < w; ++i) {
-      const Bit &sb = sv.bits[static_cast<std::size_t>(i)], &lb = lr.bits[static_cast<std::size_t>(i)];
-      Lit wildcard = kFalse;
-      if (kind == CaseKind::kCasez) wildcard = lb.x;
-      else if (kind == CaseKind::kCasex) wildcard = lor(lb.x, sb.x);
-      const Lit same = land(lit_not(lxor(sb.v, lb.v)), lit_not(lxor(sb.x, lb.x)));
-      m = land(m, lor(wildcard, same));
-    }
-    return m;
-  }
-
-  void exec_stmt(const StmtPtr& s, Ctx& ctx) {
-    if (!s) return;
-    budget_->charge();
-    switch (s->kind) {
-      case StmtKind::kBlock:
-        for (const auto& c : s->stmts) exec_stmt(c, ctx);
-        return;
-      case StmtKind::kBlockingAssign:
-        assign_lvalue(s->lhs, eval(s->rhs, ctx), /*nonblocking=*/false, ctx);
-        return;
-      case StmtKind::kNonblockingAssign:
-        if (!ctx.initial) unsupported("nonblocking assignment in a combinational process");
-        assign_lvalue(s->lhs, eval(s->rhs, ctx), /*nonblocking=*/true, ctx);
-        return;
-      case StmtKind::kIf: {
-        const Word c = eval(s->cond, ctx);
-        const Lit t_lit = truthy_lit(c);
-        // Unknown conditions branch false (Simulator::exec_stmt kIf uses
-        // truthy()), so the two-way split is exact.
-        if (t_lit == kTrue) {
-          exec_stmt(s->then_branch, ctx);
-          return;
-        }
-        if (t_lit == kFalse) {
-          exec_stmt(s->else_branch, ctx);
-          return;
-        }
-        if (ctx.initial) unsupported("symbolic branch in an initial block");
-        Overlay saved = ctx.overlay;
-        exec_stmt(s->then_branch, ctx);
-        Overlay then_env = std::move(ctx.overlay);
-        ctx.overlay = std::move(saved);
-        exec_stmt(s->else_branch, ctx);
-        ctx.overlay = merge(t_lit, std::move(then_env), std::move(ctx.overlay));
-        return;
-      }
-      case StmtKind::kCase: {
-        exec_case(s, ctx);
-        return;
-      }
-      case StmtKind::kFor: {
-        assign_lvalue(s->lhs, eval(s->rhs, ctx), /*nonblocking=*/false, ctx);
-        int iterations = 0;
-        for (;;) {
-          const Word c = eval(s->cond, ctx);
-          Value cv;
-          if (!word_const(c, &cv)) unsupported("non-constant for-loop condition");
-          if (!cv.truthy()) break;
-          if (++iterations > kMaxLoopIterations) unsupported("for-loop iteration limit exceeded");
-          exec_stmt(s->body, ctx);
-          assign_lvalue(s->step_lhs, eval(s->step_rhs, ctx), /*nonblocking=*/false, ctx);
-        }
-        return;
-      }
-    }
-    unsupported("corrupt statement node");
-  }
-
-  void exec_case(const StmtPtr& s, Ctx& ctx) {
-    const Word subject = eval(s->cond, ctx);
-    const verilog::CaseItem* default_item = nullptr;
-    struct Arm {
-      Lit m;
-      const verilog::CaseItem* item;
-    };
-    std::vector<Arm> arms;
-    bool saturated = false;
-    for (const auto& item : s->case_items) {
-      if (item.labels.empty()) {
-        default_item = &item;  // last default wins, like the simulator's scan
+  // Write bits [lo, hi] of a signal (program.cpp's write_signal): straight
+  // into the settled state in an initial block, into the path's target
+  // bits otherwise.
+  void write_field(State& s, std::uint32_t slot, int hi, int lo, const Word& vv) {
+    const int sw = prog_.signals[slot].width;
+    for (int j = std::max(lo, 0); j <= hi && j < sw; ++j) {
+      const Bit& b = vv[j - lo];
+      if (initial_) {
+        state_[slot][j] = b;
         continue;
       }
-      Lit m = kFalse;
-      for (const auto& label : item.labels) {
-        m = lor(m, match_lit(subject, label, s->case_kind, ctx));
-        if (m == kTrue) break;  // the simulator stops at the first match
+      TBit& tb = s.tgt[static_cast<std::size_t>(tidx_[slot])][static_cast<std::size_t>(j)];
+      if (tb.wr != kFalse) check_rewrite(slot);
+      tb = TBit{b, kTrue};
+    }
+  }
+
+  // The event-driven schedule re-runs a process whenever a signal it
+  // watches changes, even between two writes of one activation: a watched
+  // bit written twice on a path can retrigger the process without end,
+  // which one pass cannot model.
+  void check_rewrite(std::uint32_t slot) const {
+    if (watched_[slot]) unsupported("rewrites a signal its own sensitivity list watches");
+  }
+
+  void store(State& s, const Instr& in) {
+    Reg sv, si;
+    const Reg& v = read(s, in.a, sv);
+    if (v.bad) unsupported(v.bad);
+    const bool nba = in.op == Op::kNbaSig || in.op == Op::kNbaBitDyn;
+    const auto put = [&](int hi, int lo, Word vv) {
+      if (nba)
+        nba_.push_back(NbaWrite{in.dst, hi, lo, std::move(vv)});
+      else
+        write_field(s, in.dst, hi, lo, vv);
+    };
+    if (in.op == Op::kStoreSig || in.op == Op::kNbaSig) {
+      const int hi = static_cast<int>(in.b), lo = static_cast<int>(in.c);
+      return put(hi, lo, resized(v.w, hi - lo + 1));
+    }
+    const Reg& idx = read(s, in.b, si);
+    if (idx.bad) unsupported(idx.bad);
+    const Word vv = resized(v.w, 1);
+    const int sw = prog_.signals[in.dst].width;
+    Value iv;
+    if (word_const(idx.w, &iv)) {
+      // An unknown or out-of-range index writes nothing.
+      if (!iv.is_fully_defined() || iv.bits() >= static_cast<std::uint64_t>(sw)) return;
+      const int i = static_cast<int>(iv.bits());
+      return put(i, i, vv);
+    }
+    if (initial_ || nba) unsupported("symbolic bit-select assignment target");
+    // Exactly the selected bit is replaced, and only when the index is
+    // defined: each bit's write condition grows by its select.
+    const Lit defined = lit_not(any_x(idx.w));
+    std::vector<TBit>& bits = s.tgt[static_cast<std::size_t>(tidx_[in.dst])];
+    for (int j = 0; j < sw; ++j) {
+      const Lit cond = land(defined, eq_const(idx.w, static_cast<std::uint64_t>(j)));
+      TBit& tb = bits[static_cast<std::size_t>(j)];
+      if (cond != kFalse && tb.wr != kFalse) check_rewrite(in.dst);
+      tb.bit = Bit{lmux(cond, vv[0].v, tb.bit.v), lmux(cond, vv[0].x, tb.bit.x)};
+      tb.wr = lor(cond, tb.wr);
+    }
+  }
+
+  // --- paths ----------------------------------------------------------------
+  // If a and b are the two sides of one branch (guards G & c and G & !c),
+  // sets *cond = c, the side of a, and *parent = G.
+  bool split(Lit a, Lit b, Lit* cond, Lit* parent) const {
+    if (a == lit_not(b)) {
+      *cond = a;
+      *parent = kTrue;
+      return true;
+    }
+    if (lit_compl(a) || lit_compl(b)) return false;
+    const Aig::Node& na = aig_->nodes()[lit_node(a)];
+    const Aig::Node& nb = aig_->nodes()[lit_node(b)];
+    if (na.input >= 0 || nb.input >= 0) return false;
+    for (const Lit g : {na.a, na.b}) {
+      const Lit ca = g == na.a ? na.b : na.a;
+      if ((nb.a == g && nb.b == lit_not(ca)) || (nb.b == g && nb.a == lit_not(ca))) {
+        *cond = ca;
+        *parent = g;
+        return true;
       }
-      if (m == kFalse) continue;  // provably never taken
-      arms.push_back(Arm{m, &item});
-      if (m == kTrue) {
-        saturated = true;  // later items (and a later default) are unreachable
-        break;
+    }
+    return false;
+  }
+
+  // Merge path b into path a: every value becomes "a's on a's path, b's on
+  // b's". Two sides of one branch select on the branch condition and give
+  // back the branch's own path condition; others select on b's guard.
+  void merge(State& a, const State& b) {
+    Lit sel = kFalse, parent = kFalse;
+    if (split(a.guard, b.guard, &sel, &parent)) {
+      a.guard = parent;
+    } else {
+      sel = lit_not(b.guard);
+      a.guard = lor(a.guard, b.guard);
+    }
+    const auto mux = [&](Bit& x, const Bit& y) {
+      x.v = lmux(sel, x.v, y.v);
+      x.x = lmux(sel, x.x, y.x);
+    };
+    for (std::size_t i = 0; i < a.temps.size(); ++i) {
+      Reg& x = a.temps[i];
+      const Reg& y = b.temps[i];
+      if (x.bad != nullptr || (y.bad == nullptr && x.w.width() == 0)) continue;
+      if (y.bad != nullptr) {
+        x = y;
+      } else if (y.w.width() == 0) {
+        x = Reg{};  // written on one path only: dead after the join
+      } else if (x.w.width() != y.w.width()) {
+        x = fail("merges values of different widths");
+      } else {
+        for (std::size_t j = 0; j < x.w.bits.size(); ++j) mux(x.w.bits[j], y.w.bits[j]);
       }
     }
+    for (std::size_t t = 0; t < a.tgt.size(); ++t) {
+      for (std::size_t j = 0; j < a.tgt[t].size(); ++j) {
+        TBit& x = a.tgt[t][j];
+        const TBit& y = b.tgt[t][j];
+        mux(x.bit, y.bit);
+        x.wr = lmux(sel, x.wr, y.wr);
+      }
+    }
+    for (std::size_t l = 0; l < a.loops.size(); ++l)
+      if (a.loops[l] != b.loops[l]) a.loops[l] = -1;
+  }
 
-    if (arms.empty()) {
-      if (default_item) exec_stmt(default_item->body, ctx);
-      return;
-    }
-    if (arms.size() == 1 && arms[0].m == kTrue) {
-      exec_stmt(arms[0].item->body, ctx);
-      return;
-    }
-    if (ctx.initial) unsupported("symbolic case selection in an initial block");
-
-    // Priority chain m1 ? A1 : (m2 ? A2 : ... : default), built back to
-    // front. Each arm executes against the pre-case overlay; non-matching
-    // vectors fall through to whatever the tail produced.
-    const Overlay incoming = ctx.overlay;
-    if (saturated) {
-      ctx.overlay = incoming;  // tail unreachable: placeholder, merged away by m == kTrue
-    } else if (default_item) {
-      exec_stmt(default_item->body, ctx);
-    }
-    for (auto it = arms.rbegin(); it != arms.rend(); ++it) {
-      Overlay tail = std::move(ctx.overlay);
-      ctx.overlay = incoming;
-      exec_stmt(it->item->body, ctx);
-      ctx.overlay = merge(it->m, std::move(ctx.overlay), std::move(tail));
+  // Run path `s` from `pc` until it reaches `end` (true: it is the last
+  // path) or the pc of another pending path (false: it is parked there).
+  bool run(State& s, std::uint32_t pc, std::uint32_t end, Pending& pending) {
+    const std::vector<Instr>& code = prog_.code;
+    for (;;) {
+      if (pc >= end && pending.empty()) return true;
+      if (pc >= end || (!pending.empty() && pc >= pending.begin()->first)) {
+        pending[pc].push_back(std::move(s));
+        return false;
+      }
+      budget_->charge();
+      const Instr& in = code[pc];
+      switch (in.op) {
+        case Op::kJump:
+          pc = in.dst;
+          break;
+        case Op::kJumpIfTrue:
+        case Op::kJumpIfFalse:
+        case Op::kJumpIfDefined: {
+          Reg sc;
+          const Reg& c = read(s, in.a, sc);
+          if (c.bad) unsupported(c.bad);
+          Lit take = in.op == Op::kJumpIfDefined ? lit_not(any_x(c.w)) : truthy_lit(c.w);
+          if (in.op == Op::kJumpIfFalse) take = lit_not(take);
+          if (take == kTrue || take == kFalse) {
+            pc = take == kTrue ? in.dst : pc + 1;
+            break;
+          }
+          if (initial_) unsupported("symbolic branch in an initial block");
+          if (pc + 1 < end && code[pc + 1].op == Op::kLoopGuard)
+            unsupported("non-constant for-loop condition");
+          const Lit taken = land(s.guard, take);
+          const Lit fall = land(s.guard, lit_not(take));
+          if (taken != kFalse && fall != kFalse) {
+            State t = s;
+            t.guard = taken;
+            pending[in.dst].push_back(std::move(t));
+          }
+          // A side whose path condition folds to false is never taken.
+          s.guard = fall == kFalse ? taken : fall;
+          pc = fall == kFalse ? in.dst : pc + 1;
+          break;
+        }
+        case Op::kLoopInit:
+          s.loops[in.a] = 0;
+          ++pc;
+          break;
+        case Op::kLoopGuard: {
+          int& n = s.loops[in.a];
+          if (n < 0) unsupported("loop entered on merged paths");
+          if (++n > kMaxLoopIterations) unsupported("for-loop iteration limit exceeded");
+          ++pc;
+          break;
+        }
+        case Op::kStep:
+          ++pc;
+          break;
+        case Op::kThrow:
+          unsupported(prog_.messages[in.a]);
+        case Op::kStoreSig:
+        case Op::kStoreBitDyn:
+        case Op::kNbaSig:
+        case Op::kNbaBitDyn:
+          store(s, in);
+          ++pc;
+          break;
+        default:
+          eval(s, in);
+          ++pc;
+          break;
+      }
     }
   }
 
-  // --- static analysis over process bodies ----------------------------------
-  static void expr_idents(const ExprPtr& e, std::set<std::string>* out) {
-    if (!e) return;
-    if (e->kind == ExprKind::kIdent || e->kind == ExprKind::kBitSelect ||
-        e->kind == ExprKind::kPartSelect) {
-      out->insert(e->ident);
+  // Execute process p over every path and return the merged final state.
+  // Paths meeting at a pc merge first-arrival first, then the rest newest
+  // first, which pairs the two sides of each branch innermost-out.
+  State exec(const ProgProcess& p, const std::vector<std::uint32_t>& targets) {
+    State s;
+    s.temps.resize(prog_.num_regs - nsig_);
+    for (const std::uint32_t slot : targets)
+      s.tgt.emplace_back(static_cast<std::size_t>(prog_.signals[slot].width));
+    s.loops.assign(prog_.num_loops, 0);
+    Pending pending;
+    std::uint32_t pc = p.begin;
+    while (!run(s, pc, p.end, pending)) {
+      auto node = pending.extract(pending.begin());
+      std::vector<State>& arrivals = node.mapped();
+      pc = node.key();
+      s = std::move(arrivals.front());
+      for (std::size_t i = arrivals.size(); i-- > 1;) merge(s, arrivals[i]);
     }
-    for (const auto& op : e->operands) expr_idents(op, out);
+    return s;
   }
 
-  // Identifiers read by lvalue index expressions (everything a continuous
-  // assignment reads that is NOT in its elaborated read set).
-  static void lvalue_index_reads(const ExprPtr& lhs, std::set<std::string>* out) {
-    if (!lhs) return;
-    if (lhs->kind == ExprKind::kConcat) {
-      for (const auto& part : lhs->operands) lvalue_index_reads(part, out);
-      return;
+  // --- classification -------------------------------------------------------
+  // The signals a comb process writes and the bits it may write of each;
+  // rejects NBAs.
+  CombProc classify(std::uint32_t pi) const {
+    const ProgProcess& p = prog_.processes[pi];
+    CombProc cp;
+    cp.pi = pi;
+    for (std::uint32_t pc = p.begin; pc < p.end; ++pc) {
+      const Instr& in = prog_.code[pc];
+      // A comb-queued NBA only commits when a clocked process fires, which
+      // never happens in the designs we accept.
+      if (in.op == Op::kNbaSig || in.op == Op::kNbaBitDyn)
+        unsupported("nonblocking assignment in a combinational process");
+      if (!is_store(in.op)) continue;
+      const auto ones = [](int n) { return n >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1; };
+      const int sw = prog_.signals[in.dst].width;
+      std::uint64_t mask = ones(sw);  // a dynamic bit select may write any bit
+      if (in.op == Op::kStoreSig) {
+        const int lo = std::clamp(static_cast<int>(in.c), 0, 63);
+        const int hi = std::min({static_cast<int>(in.b), sw - 1, 63});
+        mask = hi < lo ? 0 : ones(hi - lo + 1) << lo;
+      }
+      const auto it = std::find(cp.targets.begin(), cp.targets.end(), in.dst);
+      if (it == cp.targets.end()) {
+        cp.targets.push_back(in.dst);
+        cp.masks.push_back(mask);
+      } else {
+        cp.masks[static_cast<std::size_t>(it - cp.targets.begin())] |= mask;
+      }
     }
-    if (lhs->kind == ExprKind::kBitSelect) expr_idents(lhs->operands[0], out);
-  }
-
-  void lvalue_targets(const ExprPtr& lhs, bool strict,
-                      std::map<std::size_t, std::uint64_t>* masks) const {
-    if (!lhs) {
-      if (strict) unsupported("null lvalue");
-      return;
-    }
-    if (lhs->kind == ExprKind::kConcat) {
-      for (const auto& part : lhs->operands) lvalue_targets(part, strict, masks);
-      return;
-    }
-    if (lhs->kind != ExprKind::kIdent && lhs->kind != ExprKind::kBitSelect &&
-        lhs->kind != ExprKind::kPartSelect) {
-      if (strict) unsupported("unsupported lvalue");
-      return;
-    }
-    const auto it = design_.signal_ids.find(lhs->ident);
-    if (it == design_.signal_ids.end()) {
-      if (strict) unsupported("assignment to undeclared identifier '" + lhs->ident + "'");
-      return;
-    }
-    const int sw = design_.signals[it->second].width;
-    const std::uint64_t full = sw >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << sw) - 1);
-    std::uint64_t mask = full;
-    if (lhs->kind == ExprKind::kPartSelect) {
-      const int lo = std::clamp(std::min(lhs->msb, lhs->lsb), 0, 63);
-      const int hi = std::min({std::max(lhs->msb, lhs->lsb), sw - 1, 63});
-      mask = hi < lo ? 0
-                     : ((hi - lo + 1 >= 64 ? ~std::uint64_t{0}
-                                           : ((std::uint64_t{1} << (hi - lo + 1)) - 1))
-                        << lo);
-    }
-    // kBitSelect keeps the full mask: the index is not known statically.
-    (*masks)[it->second] |= mask;
-  }
-
-  void collect_targets(const StmtPtr& s, bool strict, std::map<std::size_t, std::uint64_t>* masks,
-                       bool* has_nba) const {
-    if (!s) return;
-    switch (s->kind) {
-      case StmtKind::kBlock:
-        for (const auto& c : s->stmts) collect_targets(c, strict, masks, has_nba);
-        return;
-      case StmtKind::kBlockingAssign:
-        lvalue_targets(s->lhs, strict, masks);
-        return;
-      case StmtKind::kNonblockingAssign:
-        *has_nba = true;
-        lvalue_targets(s->lhs, strict, masks);
-        return;
-      case StmtKind::kIf:
-        collect_targets(s->then_branch, strict, masks, has_nba);
-        collect_targets(s->else_branch, strict, masks, has_nba);
-        return;
-      case StmtKind::kCase:
-        for (const auto& item : s->case_items) collect_targets(item.body, strict, masks, has_nba);
-        return;
-      case StmtKind::kFor:
-        lvalue_targets(s->lhs, strict, masks);
-        lvalue_targets(s->step_lhs, strict, masks);
-        collect_targets(s->body, strict, masks, has_nba);
-        return;
-    }
+    return cp;
   }
 
   Aig* aig_;
   Budget* budget_;
-  const ElabDesign& design_;
+  const Program& prog_;
   const std::map<std::string, std::vector<Lit>>& input_vars_;
-  std::vector<Word> state_;
+  const std::uint32_t nsig_;
+  std::vector<Word> state_;             // settled value per signal slot
+  bool initial_ = false;                // running an initial block
+  std::vector<NbaWrite> nba_;           // initial blocks' queued NBAs
+  std::vector<int> tidx_;               // signal slot -> target index, or -1
+  std::vector<std::uint64_t> masks_;    // running process: per target
+  std::vector<char> watched_;           // running process: slot in its sens
 };
 
 std::vector<Word> Lowerer::run() {
-  // 1. Power-on: every signal all-X (Simulator constructor).
-  state_.reserve(design_.signals.size());
-  for (const auto& sig : design_.signals) state_.push_back(all_x(checked_width(sig.width)));
+  // 1. Power-on: every signal all-X (CompiledSimulator::init).
+  state_.reserve(nsig_);
+  for (const auto& sig : prog_.signals) state_.emplace_back(checked_width(sig.width));
+  tidx_.assign(nsig_, -1);
+  watched_.assign(nsig_, 0);
 
   // 2. Initial blocks in process order, then their queued NBAs commit
-  // immediately (Simulator::run_initial_blocks).
-  {
-    std::vector<NbaWrite> nba;
-    Ctx ictx;
-    ictx.initial = true;
-    ictx.nba = &nba;
-    for (const auto& p : design_.processes)
-      if (p.kind == ProcessKind::kInitial && p.body) exec_stmt(p.body, ictx);
-    for (const auto& w : nba) write_field(w.id, w.lo, w.hi, w.value, ictx);
-  }
+  // immediately (CompiledSimulator::run_initial_blocks).
+  initial_ = true;
+  for (const std::uint32_t pi : prog_.initial_procs) exec(prog_.processes[pi], {});
+  State none;
+  for (const NbaWrite& w : nba_) write_field(none, w.slot, w.hi, w.lo, w.value);
+  initial_ = false;
 
-  // 3. Classify processes. A comb/cont-assign process executes iff at least
-  // one of its read-set names is a known signal (the constructor seeds every
-  // signal dirty, and comb_watchers are built from known names only).
-  struct CombProc {
-    std::size_t pi = 0;
-    std::map<std::size_t, std::uint64_t> writes;
-    std::set<std::size_t> reads;
-  };
+  // 3. Classify processes. A comb/cont-assign process executes iff its
+  // sensitivity names at least one signal (init marks every signal dirty).
   std::vector<CombProc> comb;
-  std::set<std::size_t> edge_ids;
-  std::map<std::size_t, std::uint64_t> clocked_writes;
-  for (std::size_t pi = 0; pi < design_.processes.size(); ++pi) {
-    const ElabProcess& p = design_.processes[pi];
+  std::vector<bool> edge(nsig_, false), clocked_written(nsig_, false);
+  for (std::uint32_t pi = 0; pi < prog_.processes.size(); ++pi) {
+    const ProgProcess& p = prog_.processes[pi];
     if (p.kind == ProcessKind::kInitial) continue;
     if (p.kind == ProcessKind::kClocked) {
-      for (const auto& e : p.edges) {
-        const auto it = design_.signal_ids.find(e.signal);
-        // The simulator throws ElabError at construction for this; fall back
-        // so it reproduces the fault.
-        if (it == design_.signal_ids.end()) unsupported("edge on unknown signal '" + e.signal + "'");
-        edge_ids.insert(it->second);
-      }
-      bool nba = false;
-      collect_targets(p.body, /*strict=*/false, &clocked_writes, &nba);
+      for (const auto& [slot, e] : p.edges) edge[slot] = true;
+      for (std::uint32_t pc = p.begin; pc < p.end; ++pc)
+        if (is_store(prog_.code[pc].op)) clocked_written[prog_.code[pc].dst] = true;
       continue;
     }
-    bool watched = false;
-    CombProc cp;
-    cp.pi = pi;
-    for (const auto& name : p.read_set) {
-      const auto it = design_.signal_ids.find(name);
-      if (it != design_.signal_ids.end()) {
-        watched = true;
-        cp.reads.insert(it->second);
-      }
-    }
-    if (!watched) continue;  // never triggered: targets keep initial values
-    std::set<std::string> needed;
-    if (p.kind == ProcessKind::kComb) {
-      if (!p.body) continue;
-      bool has_nba = false;
-      collect_targets(p.body, /*strict=*/true, &cp.writes, &has_nba);
-      // A comb-queued NBA only commits when a clocked process fires, which
-      // never happens in the designs we accept.
-      if (has_nba) unsupported("nonblocking assignment in a combinational process");
-      needed = sim::statement_read_set(p.body);
-    } else {  // kContAssign
-      lvalue_targets(p.lhs, /*strict=*/true, &cp.writes);
-      expr_idents(p.rhs, &needed);
-      lvalue_index_reads(p.lhs, &needed);
-    }
-    // Sensitivity completeness: every signal the process reads must also
-    // retrigger it, or the settled value depends on event order.
-    for (const auto& n : needed)
-      if (design_.signal_ids.contains(n) && !p.read_set.contains(n))
-        unsupported("incomplete sensitivity list");
-    comb.push_back(std::move(cp));
+    if (p.sens.empty()) continue;  // never triggered: targets keep initial values
+    comb.push_back(classify(pi));
   }
 
   // 4. Single combinational driver per signal, and never an input port
   // (poking would race the driver).
-  std::map<std::size_t, std::size_t> writer;  // signal id -> comb index
+  std::vector<int> writer(nsig_, -1);
   for (std::size_t ci = 0; ci < comb.size(); ++ci) {
-    for (const auto& [id, mask] : comb[ci].writes) {
-      (void)mask;
-      if (design_.signals[id].is_input) unsupported("combinational process drives an input port");
-      if (!writer.emplace(id, ci).second) unsupported("signal has multiple combinational drivers");
+    for (const std::uint32_t slot : comb[ci].targets) {
+      if (prog_.signals[slot].is_input) unsupported("combinational process drives an input port");
+      if (writer[slot] >= 0) unsupported("signal has multiple combinational drivers");
+      writer[slot] = static_cast<int>(ci);
     }
   }
 
   // 5. Clocked processes must never fire: their edge signals have to be
   // static after construction. Initial-only writes are fine — the edge
   // baseline is captured after initial blocks run.
-  for (const std::size_t id : edge_ids) {
-    if (input_vars_.contains(design_.signals[id].name)) unsupported("clock edge on a swept input");
-    if (writer.contains(id)) unsupported("clock edge on a combinationally driven signal");
-    if (clocked_writes.contains(id)) unsupported("clock edge on a clocked-process target");
+  for (std::uint32_t slot = 0; slot < nsig_; ++slot) {
+    if (!edge[slot]) continue;
+    if (input_vars_.contains(prog_.signals[slot].name)) unsupported("clock edge on a swept input");
+    if (writer[slot] >= 0) unsupported("clock edge on a combinationally driven signal");
+    if (clocked_written[slot]) unsupported("clock edge on a clocked-process target");
   }
 
   // 6. Bind the swept inputs. The harness pokes Value::of(slice, elab width),
   // so bits above the port width are defined zeros.
   for (const auto& [name, vars] : input_vars_) {
-    const auto it = design_.signal_ids.find(name);
-    if (it == design_.signal_ids.end()) unsupported("swept input '" + name + "' is not a signal");
-    const std::size_t id = it->second;
-    const int sw = design_.signals[id].width;
-    Word w(sw);
-    for (int i = 0; i < sw; ++i)
-      w.bits[static_cast<std::size_t>(i)] =
-          static_cast<std::size_t>(i) < vars.size() ? Bit{vars[static_cast<std::size_t>(i)], kFalse}
-                                                    : Bit{kFalse, kFalse};
-    state_[id] = w;
+    const auto it = prog_.signal_slots.find(name);
+    if (it == prog_.signal_slots.end()) unsupported("swept input '" + name + "' is not a signal");
+    Word& w = state_[it->second];
+    for (std::size_t i = 0; i < w.bits.size(); ++i) w.bits[i] = Bit{i < vars.size() ? vars[i] : kFalse, kFalse};
   }
 
   // 7. Topological order over the writer -> reader dependency graph. A cycle
   // or excessive depth may not settle within the simulator's delta budget.
-  const std::size_t n = comb.size();
-  std::vector<std::vector<std::size_t>> succ(n);
-  std::vector<std::size_t> indeg(n, 0);
-  for (std::size_t ci = 0; ci < n; ++ci) {
-    std::set<std::size_t> preds;
-    for (const std::size_t rid : comb[ci].reads) {
-      const auto wit = writer.find(rid);
-      if (wit != writer.end() && wit->second != ci) preds.insert(wit->second);
-    }
-    for (const std::size_t p : preds) {
-      succ[p].push_back(ci);
-      ++indeg[ci];
+  std::vector<std::vector<std::uint32_t>> succ(comb.size());
+  for (std::size_t ci = 0; ci < comb.size(); ++ci) {
+    for (const std::uint32_t slot : prog_.processes[comb[ci].pi].sens) {
+      const int w = writer[slot];
+      if (w >= 0 && static_cast<std::size_t>(w) != ci)
+        succ[static_cast<std::size_t>(w)].push_back(static_cast<std::uint32_t>(ci));
     }
   }
-  std::vector<std::size_t> order;
-  std::vector<int> depth(n, 0);
-  std::set<std::size_t> ready;
-  for (std::size_t ci = 0; ci < n; ++ci)
-    if (indeg[ci] == 0) ready.insert(ci);
-  while (!ready.empty()) {
-    const std::size_t ci = *ready.begin();
-    ready.erase(ready.begin());
-    order.push_back(ci);
-    for (const std::size_t s : succ[ci]) {
-      depth[s] = std::max(depth[s], depth[ci] + 1);
-      if (--indeg[s] == 0) ready.insert(s);
-    }
-  }
-  if (order.size() != n) unsupported("combinational dependency cycle");
-  for (const int d : depth)
-    if (d > kMaxCombDepth) unsupported("combinational depth exceeds the delta-cycle budget");
+  const auto order = sim::topo_order(succ, kMaxCombDepth);
+  if (!order) unsupported("combinational cycle or depth beyond the delta-cycle budget");
 
-  // 8. Evaluate each process once in dependency order, committing its overlay
+  // 8. Execute each process once in dependency order, committing its writes
   // before any reader runs. One pass equals the simulator's fixpoint because
   // every accepted process is a pure function of already-final values.
-  for (const std::size_t ci : order) {
-    const ElabProcess& p = design_.processes[comb[ci].pi];
-    Ctx ctx;
-    ctx.write_masks = &comb[ci].writes;
-    for (const auto& [id, mask] : comb[ci].writes) {
-      (void)mask;
-      ctx.overlay.emplace(id, std::vector<OBit>(static_cast<std::size_t>(design_.signals[id].width)));
-    }
-    if (p.kind == ProcessKind::kContAssign)
-      assign_lvalue(p.lhs, eval(p.rhs, ctx), /*nonblocking=*/false, ctx);
-    else
-      exec_stmt(p.body, ctx);
-    for (const auto& [id, bits] : ctx.overlay) {
-      for (std::size_t j = 0; j < bits.size(); ++j) {
-        if (bits[j].st == BState::kVal)
-          state_[id].bits[j] = bits[j].bit;
-        else if (bits[j].st == BState::kPoison)
+  for (const std::uint32_t ci : *order) {
+    const CombProc& cp = comb[ci];
+    const ProgProcess& p = prog_.processes[cp.pi];
+    masks_ = cp.masks;
+    for (std::size_t t = 0; t < cp.targets.size(); ++t) tidx_[cp.targets[t]] = static_cast<int>(t);
+    for (const std::uint32_t slot : p.sens) watched_[slot] = 1;
+    const State done = exec(p, cp.targets);
+    for (const std::uint32_t slot : p.sens) watched_[slot] = 0;
+    for (std::size_t t = 0; t < cp.targets.size(); ++t) {
+      const std::uint32_t slot = cp.targets[t];
+      tidx_[slot] = -1;
+      for (std::size_t j = 0; j < done.tgt[t].size(); ++j) {
+        const TBit& tb = done.tgt[t][j];
+        // Written on no path: keeps its settled value. On some paths only:
+        // a latch, whose settle keeps state one pass cannot model.
+        if (tb.wr == kTrue)
+          state_[slot].bits[j] = tb.bit;
+        else if (tb.wr != kFalse)
           unsupported("signal latches: assigned on some but not all paths");
-        // kBottom: never written this activation, keeps its settled value.
       }
     }
   }
@@ -1098,9 +981,9 @@ std::vector<Word> Lowerer::run() {
 
 }  // namespace
 
-std::vector<Word> lower_design(Aig* aig, const sim::ElabDesign& design,
+std::vector<Word> lower_design(Aig* aig, const sim::Program& program,
                                const std::map<std::string, std::vector<Lit>>& input_vars) {
-  return Lowerer(aig, design, input_vars).run();
+  return Lowerer(aig, program, input_vars).run();
 }
 
 }  // namespace haven::prove

@@ -1,21 +1,39 @@
-// Dual-rail symbolic lowering of an elaborated design's settled
-// combinational state onto the prove::Aig (DESIGN.md §12).
+// Dual-rail symbolic execution of a compiled sim::Program: the settled
+// combinational state of a design, lowered onto the prove::Aig
+// (DESIGN.md §12).
 //
 // Each 4-state signal bit becomes a (value, unknown) literal pair with the
 // same invariant sim::Value::normalize enforces: an unknown bit carries no
-// defined value (v implies !x). lower_design() replays the simulator's
-// construction sequence symbolically — initial blocks on the all-X state,
-// NBA commit, input binding, then one pure-function evaluation of every
-// triggered combinational process in dependency order — so the returned
-// words are, bit for bit, the values sim::run_diff_test would observe after
-// poking the corresponding input vector.
+// defined value (v implies !x). lower_design() replays the compiled
+// simulator's construction sequence symbolically over the same bytecode the
+// simulator executes — initial blocks on the all-X state, NBA commit, input
+// binding, then one pure-function execution of every triggered
+// combinational process in dependency order — so the returned words are,
+// bit for bit, the values sim::run_diff_test would observe after poking the
+// corresponding input vector.
 //
 // Anything whose event-driven behaviour is NOT a pure function of the
-// current inputs (latches from partial assignment, incomplete sensitivity,
-// comb feedback, nonblocking assigns in comb processes, clocked processes
-// whose edge could ever fire, ...) throws UnsupportedError and the verdict
-// falls back to simulation. The fallback is the soundness valve: the prover
-// never guesses, it either reproduces the simulator exactly or declines.
+// current inputs throws UnsupportedError and the verdict falls back to
+// simulation. Each check reads a fact of the Program:
+//  * latches: a written bit whose per-path write condition is neither
+//    constant true nor constant false when the process ends;
+//  * reads of a process's own target before it is written on every path;
+//  * incomplete sensitivity: a signal read on a path, outside
+//    ProgProcess::sens, whose value was not written earlier on that path;
+//  * self-retriggering: a bit in ProgProcess::sens written twice on a path
+//    (kStoreSig / kStoreBitDyn), which the event-driven schedule can re-run
+//    without end;
+//  * nonblocking assigns in comb processes: kNbaSig / kNbaBitDyn;
+//  * multiple comb drivers, or a comb driver of an input port: the
+//    kStoreSig / kStoreBitDyn targets of the comb processes;
+//  * clocked processes whose edge could ever fire: ProgProcess::edges on a
+//    swept input (Program::signals), a comb target or a clocked target;
+//  * comb feedback or depth beyond the delta budget: sim::topo_order over
+//    ProgProcess::sens;
+//  * lazy faults and runaway loops: a kThrow reached, or a kLoopGuard that
+//    overflows, on a path whose condition is not constant false.
+// The fallback is the soundness valve: the prover never guesses, it either
+// reproduces the simulator exactly or declines.
 #pragma once
 
 #include <map>
@@ -24,7 +42,7 @@
 #include <vector>
 
 #include "prove/aig.h"
-#include "sim/elaborate.h"
+#include "sim/program.h"
 
 namespace haven::prove {
 
@@ -47,16 +65,18 @@ struct Bit {
 struct Word {
   explicit Word(int w = 1) : bits(static_cast<std::size_t>(w)) {}
   int width() const { return static_cast<int>(bits.size()); }
+  Bit& operator[](int i) { return bits[static_cast<std::size_t>(i)]; }
+  const Bit& operator[](int i) const { return bits[static_cast<std::size_t>(i)]; }
   std::vector<Bit> bits;
 };
 
-// Settled state of every signal (indexed by signal id) as a pure function of
-// the AIG inputs. `input_vars` maps top-level input port names to their
+// Settled state of every signal (indexed by signal slot) as a pure function
+// of the AIG inputs. `input_vars` maps top-level input port names to their
 // port-width variable literals, LSB first; the same literals are passed for
 // DUT and golden so the miscompare network shares structure. Inputs not in
 // the map (clock/reset names) keep their post-initial constant values.
 // Throws UnsupportedError / BudgetExceededError.
-std::vector<Word> lower_design(Aig* aig, const sim::ElabDesign& design,
+std::vector<Word> lower_design(Aig* aig, const sim::Program& program,
                                const std::map<std::string, std::vector<Lit>>& input_vars);
 
 }  // namespace haven::prove

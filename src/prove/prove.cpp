@@ -1,14 +1,15 @@
 #include "prove/prove.h"
 
 #include <map>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "lint/dataflow.h"
 #include "prove/aig.h"
 #include "prove/bdd.h"
 #include "prove/lower.h"
+#include "sim/compile.h"
 #include "sim/elaborate.h"
 
 namespace haven::prove {
@@ -107,27 +108,32 @@ bool spec_provable(const Module& golden, const sim::StimulusSpec& spec) {
   return total <= spec.max_exhaustive_bits && total <= 20;
 }
 
-bool golden_provable(const Module& golden, const SourceFile* golden_file,
-                     const sim::StimulusSpec& spec, const ProveOptions& opts) {
-  if (!spec_provable(golden, spec)) return false;
-  if (!lint::build_dataflow(golden, golden_file).comb_cycles.empty()) return false;
+std::optional<sim::Program> provable_golden(const Module& golden, const SourceFile* golden_file,
+                                            const sim::StimulusSpec& spec,
+                                            const ProveOptions& opts) {
+  if (!spec_provable(golden, spec)) return std::nullopt;
   try {
-    const sim::ElabDesign design = sim::elaborate(golden, golden_file);
+    sim::Program program = sim::compile(sim::elaborate(golden, golden_file));
     Budget budget(opts.node_budget);
     Aig aig(&budget);
-    lower_design(&aig, design, make_input_vars(&aig, golden, spec));
-    return true;
+    lower_design(&aig, program, make_input_vars(&aig, golden, spec));
+    return program;
   } catch (const sim::ElabError&) {
-    return false;
+    return std::nullopt;
   } catch (const UnsupportedError&) {
-    return false;
+    return std::nullopt;
   } catch (const BudgetExceededError&) {
-    return false;
+    return std::nullopt;
   }
 }
 
+bool golden_provable(const Module& golden, const SourceFile* golden_file,
+                     const sim::StimulusSpec& spec, const ProveOptions& opts) {
+  return provable_golden(golden, golden_file, spec, opts).has_value();
+}
+
 ProveResult prove_equivalence(const Module& dut, const SourceFile* dut_file, const Module& golden,
-                              const SourceFile* golden_file, const sim::StimulusSpec& spec,
+                              const sim::Program& gp, const sim::StimulusSpec& spec,
                               const ProveOptions& opts) {
   ProveResult r;  // defaults to kUnsupported
   if (spec.sequential) {
@@ -144,31 +150,21 @@ ProveResult prove_equivalence(const Module& dut, const SourceFile* dut_file, con
     return r;
   }
 
-  // Lint's AST-level comb-SCC detection as a cheap early reject: a cyclic
-  // design can oscillate or latch, neither of which the lowering models.
-  if (!lint::build_dataflow(golden, golden_file).comb_cycles.empty()) {
-    r.reason = "golden module has a combinational cycle";
-    return r;
-  }
-  if (!lint::build_dataflow(dut, dut_file).comb_cycles.empty()) {
-    r.reason = "candidate has a combinational cycle";
-    return r;
-  }
-
-  sim::ElabDesign gd, dd;
-  try {
-    gd = sim::elaborate(golden, golden_file);
-  } catch (const sim::ElabError& e) {
-    // The harness escalates this to a task fault; simulate to reproduce it.
-    r.reason = std::string("golden elaboration failed: ") + e.what();
-    return r;
-  }
+  sim::ElabDesign dd;
   try {
     dd = sim::elaborate(dut, dut_file);
   } catch (const sim::ElabError& e) {
     // run_diff_test's exact verdict for a candidate that fails to elaborate.
     r.status = ProveStatus::kInequivalent;
     r.reason = std::string("dut elaboration failed: ") + e.what();
+    return r;
+  }
+  sim::Program dp;
+  try {
+    dp = sim::compile(dd);
+  } catch (const sim::ElabError& e) {
+    // The simulator faults on this at construction; simulate to reproduce it.
+    r.reason = std::string("dut compile failed: ") + e.what();
     return r;
   }
 
@@ -182,17 +178,17 @@ ProveResult prove_equivalence(const Module& dut, const SourceFile* dut_file, con
   Aig aig(&budget);
   try {
     const auto vars = make_input_vars(&aig, golden, spec);
-    const std::vector<Word> gs = lower_design(&aig, gd, vars);
-    const std::vector<Word> ds = lower_design(&aig, dd, vars);
+    const std::vector<Word> gs = lower_design(&aig, gp, vars);
+    const std::vector<Word> ds = lower_design(&aig, dp, vars);
 
     // Miscompare network: outputs_match per golden output port — DUT must
     // match every golden-defined bit and be defined wherever golden is.
     Lit mis = kFalse;
     for (const auto& p : golden.ports) {
       if (p.dir != Dir::kOutput) continue;
-      const auto git = gd.signal_ids.find(p.name);
-      const auto dit = dd.signal_ids.find(p.name);
-      if (git == gd.signal_ids.end() || dit == dd.signal_ids.end()) {
+      const auto git = gp.signal_slots.find(p.name);
+      const auto dit = dp.signal_slots.find(p.name);
+      if (git == gp.signal_slots.end() || dit == dp.signal_slots.end()) {
         r.reason = "output port missing from the elaborated design";
         r.nodes = budget.used();
         return r;
@@ -207,10 +203,8 @@ ProveResult prove_equivalence(const Module& dut, const SourceFile* dut_file, con
         return r;
       }
       for (int i = 0; i < gw.width(); ++i) {
-        const Bit& g = gw.bits[static_cast<std::size_t>(i)];
-        const Bit& d = dw.bits[static_cast<std::size_t>(i)];
-        const Lit care = lit_not(g.x);
-        mis = aig.lor(mis, aig.land(care, aig.lor(aig.lxor(g.v, d.v), d.x)));
+        const Lit care = lit_not(gw[i].x);
+        mis = aig.lor(mis, aig.land(care, aig.lor(aig.lxor(gw[i].v, dw[i].v), dw[i].x)));
       }
     }
 
@@ -259,6 +253,21 @@ ProveResult prove_equivalence(const Module& dut, const SourceFile* dut_file, con
     r.nodes = budget.used();
     return r;
   }
+}
+
+ProveResult prove_equivalence(const Module& dut, const SourceFile* dut_file, const Module& golden,
+                              const SourceFile* golden_file, const sim::StimulusSpec& spec,
+                              const ProveOptions& opts) {
+  sim::Program gp;
+  try {
+    gp = sim::compile(sim::elaborate(golden, golden_file));
+  } catch (const sim::ElabError& e) {
+    // The harness escalates this to a task fault; simulate to reproduce it.
+    ProveResult r;
+    r.reason = std::string("golden elaboration failed: ") + e.what();
+    return r;
+  }
+  return prove_equivalence(dut, dut_file, golden, gp, spec, opts);
 }
 
 }  // namespace haven::prove

@@ -1,12 +1,12 @@
 // haven::prove — combinational equivalence checking as a zero-simulation
 // verdict fast-path (DESIGN.md §12).
 //
-// prove_equivalence() lowers the candidate and the golden module into one
-// shared structurally-hashed AIG over the 4-state value domain, builds the
-// miscompare network exactly as sim::run_diff_test's outputs_match would
-// judge each exhaustive vector, and decides satisfiability with
-// reduced-ordered BDDs (64-lane exhaustive cofactor sweep as the fallback
-// when the BDD outgrows its share of the node budget).
+// prove_equivalence() lowers the compiled bytecode of the candidate and the
+// golden module into one shared structurally-hashed AIG over the 4-state
+// value domain, builds the miscompare network exactly as sim::run_diff_test's
+// outputs_match would judge each exhaustive vector, and decides
+// satisfiability with reduced-ordered BDDs (64-lane exhaustive cofactor
+// sweep as the fallback when the BDD outgrows its share of the node budget).
 //
 // The verdict contract: on a task where the engine deems the golden module
 // provable (spec_provable + golden_provable), kEquivalent is returned iff the
@@ -17,8 +17,10 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
+#include "sim/program.h"
 #include "sim/testbench.h"
 #include "verilog/ast.h"
 
@@ -53,14 +55,29 @@ struct ProveResult {
 // when simulation would itself test every vector).
 bool spec_provable(const verilog::Module& golden, const sim::StimulusSpec& spec);
 
-// Full eligibility: spec_provable plus a dry-run elaboration + lowering of
-// the golden module under `opts`. When this holds, prove_equivalence() on any
-// candidate either returns a verdict identical to simulation or defers to it.
+// Full eligibility: spec_provable plus a dry-run elaboration, compile and
+// lowering of the golden module under `opts`. When this holds,
+// prove_equivalence() on any candidate either returns a verdict identical to
+// simulation or defers to it.
 bool golden_provable(const verilog::Module& golden, const verilog::SourceFile* golden_file,
                      const sim::StimulusSpec& spec, const ProveOptions& opts = {});
 
-// Decide equivalence of `dut` against `golden` under `spec`. The SourceFiles
-// supply instance definitions (may be null), mirroring run_diff_test.
+// The golden's compiled Program when golden_provable() holds, else nullopt:
+// what a caller that proves many candidates against one golden prepares once.
+std::optional<sim::Program> provable_golden(const verilog::Module& golden,
+                                            const verilog::SourceFile* golden_file,
+                                            const sim::StimulusSpec& spec,
+                                            const ProveOptions& opts = {});
+
+// Decide equivalence of `dut` against a golden prepared by provable_golden().
+// `dut_file` supplies the candidate's instance definitions (may be null),
+// mirroring run_diff_test.
+ProveResult prove_equivalence(const verilog::Module& dut, const verilog::SourceFile* dut_file,
+                              const verilog::Module& golden, const sim::Program& golden_program,
+                              const sim::StimulusSpec& spec, const ProveOptions& opts = {});
+
+// The same from the golden's source: elaborates and compiles it, then
+// proves as above.
 ProveResult prove_equivalence(const verilog::Module& dut, const verilog::SourceFile* dut_file,
                               const verilog::Module& golden, const verilog::SourceFile* golden_file,
                               const sim::StimulusSpec& spec, const ProveOptions& opts = {});

@@ -27,10 +27,6 @@ enum class SimBackend : std::uint8_t { kInterpreter = 0, kCompiled = 1 };
 
 inline constexpr SimBackend kDefaultSimBackend = SimBackend::kCompiled;
 
-constexpr const char* backend_name(SimBackend b) {
-  return b == SimBackend::kInterpreter ? "interp" : "compiled";
-}
-
 // Canonical list of accepted backend spellings. Every surface that rejects a
 // backend value (eval::RequestOptions, the serve line protocol) names these
 // in its error message, so the valid set is stated in exactly one place.

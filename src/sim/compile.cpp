@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <optional>
+#include <queue>
 #include <set>
 #include <string>
 #include <tuple>
@@ -27,8 +29,57 @@ namespace {
 // identical between backends. Real designs are nowhere near this.
 constexpr int kMaxCombDepth = 64;
 
-// Per-signal bit masks definitely/possibly written by a statement.
-using WriteMap = std::map<std::uint32_t, std::uint64_t>;
+// Per-signal bit masks definitely/possibly written by a statement: sorted by
+// slot, no zero masks.
+using WriteMap = std::vector<std::pair<std::uint32_t, std::uint64_t>>;
+
+std::uint64_t mask_of(const WriteMap& m, std::uint32_t sl) {
+  const auto it = std::lower_bound(m.begin(), m.end(), std::make_pair(sl, std::uint64_t{0}));
+  return it != m.end() && it->first == sl ? it->second : 0;
+}
+
+void or_into(WriteMap& m, std::uint32_t sl, std::uint64_t mask) {
+  if (mask == 0) return;
+  const auto it = std::lower_bound(m.begin(), m.end(), std::make_pair(sl, std::uint64_t{0}));
+  if (it != m.end() && it->first == sl) {
+    it->second |= mask;
+  } else {
+    m.insert(it, {sl, mask});
+  }
+}
+
+void or_into(WriteMap& into, const WriteMap& from) {
+  for (const auto& [sl, mask] : from) or_into(into, sl, mask);
+}
+
+WriteMap intersect(const WriteMap& a, const WriteMap& b) {
+  WriteMap out;
+  for (const auto& [sl, mask] : a) {
+    if (const std::uint64_t both = mask & mask_of(b, sl)) out.emplace_back(sl, both);
+  }
+  return out;
+}
+
+// Which of `in`'s a/b/c operands name registers it reads: bit 0 = a,
+// bit 1 = b, bit 2 = c.
+unsigned read_operands(const Instr& in) {
+  switch (in.op) {
+    case Op::kConst: case Op::kJump: case Op::kLoopInit: case Op::kLoopGuard:
+    case Op::kStep: case Op::kThrow:
+      return 0;
+    case Op::kSlice:
+      return in.mode == 0 ? 1 : 0;
+    case Op::kMove: case Op::kNot: case Op::kNeg: case Op::kLogNot: case Op::kRedAnd:
+    case Op::kRedOr: case Op::kRedXor: case Op::kReplicate: case Op::kResize:
+    case Op::kJumpIfTrue: case Op::kJumpIfFalse: case Op::kJumpIfDefined:
+    case Op::kStoreSig: case Op::kNbaSig:
+      return 1;
+    case Op::kSelect:
+      return 7;
+    default:  // binary ops, kMergeX, kConcat, kBitDyn, kCaseCmp, dynamic-index stores
+      return 3;
+  }
+}
 
 bool is_known_unary(const std::string& op) {
   return op == "~" || op == "!" || op == "-" || op == "&" || op == "|" ||
@@ -57,7 +108,7 @@ class Compiler {
       prog_.signals.push_back({sig.name, sig.width, sig.is_input, sig.is_output});
     }
     for (const auto& [name, id] : design_.signal_ids) {
-      prog_.signal_slots[name] = static_cast<std::uint32_t>(id);
+      prog_.signal_slots.emplace_hint(prog_.signal_slots.end(), name, static_cast<std::uint32_t>(id));
     }
     prog_.inputs = design_.inputs;
     prog_.outputs = design_.outputs;
@@ -72,6 +123,11 @@ class Compiler {
           if (!sl) throw ElabError("edge on unknown signal '" + e.signal + "'");
           pp.edges.emplace_back(*sl, e.edge);
         }
+      } else if (p.kind == ProcessKind::kComb || p.kind == ProcessKind::kContAssign) {
+        for (const auto& name : p.read_set) {
+          if (const auto sl = slot(name)) pp.sens.push_back(*sl);
+        }
+        std::sort(pp.sens.begin(), pp.sens.end());
       }
       next_temp_ = nsig_;
       pp.begin = here();
@@ -575,18 +631,14 @@ class Compiler {
   void build_watchers() {
     prog_.comb_watchers.assign(nsig_, {});
     prog_.edge_watchers.assign(nsig_, {});
-    for (std::size_t pi = 0; pi < design_.processes.size(); ++pi) {
-      const ElabProcess& p = design_.processes[pi];
-      if (p.kind == ProcessKind::kComb || p.kind == ProcessKind::kContAssign) {
-        for (const auto& name : p.read_set) {
-          const auto sl = slot(name);
-          if (sl) prog_.comb_watchers[*sl].push_back(static_cast<std::uint32_t>(pi));
-        }
-      } else if (p.kind == ProcessKind::kClocked) {
-        for (const auto& [eslot, edge] : prog_.processes[pi].edges) {
-          (void)edge;
-          prog_.edge_watchers[eslot].push_back(static_cast<std::uint32_t>(pi));
-        }
+    for (std::size_t pi = 0; pi < prog_.processes.size(); ++pi) {
+      const ProgProcess& p = prog_.processes[pi];
+      for (const std::uint32_t sl : p.sens) {
+        prog_.comb_watchers[sl].push_back(static_cast<std::uint32_t>(pi));
+      }
+      for (const auto& [eslot, edge] : p.edges) {
+        (void)edge;
+        prog_.edge_watchers[eslot].push_back(static_cast<std::uint32_t>(pi));
       }
     }
     for (std::uint32_t s = 0; s < nsig_; ++s) {
@@ -608,7 +660,7 @@ class Compiler {
       const int sw = design_.signals[sl].width;
       const std::uint64_t sig_mask =
           sw >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << sw) - 1);
-      if (field & sig_mask) m[sl] |= field & sig_mask;
+      or_into(m, sl, field & sig_mask);
     };
     const auto one = [&](const ExprPtr& part) -> bool {
       const auto sl = slot(part->ident);
@@ -650,31 +702,20 @@ class Compiler {
   MaskInfo stmt_masks(const StmtPtr& s) const {
     MaskInfo info;
     if (!s) return info;
-    const auto merge_union = [](WriteMap& into, const WriteMap& from) {
-      for (const auto& [sl, mask] : from) into[sl] |= mask;
-    };
-    const auto merge_intersect = [](const WriteMap& a, const WriteMap& b) {
-      WriteMap out;
-      for (const auto& [sl, mask] : a) {
-        const auto it = b.find(sl);
-        if (it != b.end() && (mask & it->second)) out[sl] = mask & it->second;
-      }
-      return out;
-    };
     switch (s->kind) {
       case StmtKind::kBlock:
         for (const auto& c : s->stmts) {
           const MaskInfo ci = stmt_masks(c);
           if (!ci.ok) return MaskInfo::failed();
-          merge_union(info.may, ci.may);
-          merge_union(info.must, ci.must);
+          or_into(info.may, ci.may);
+          or_into(info.must, ci.must);
         }
         return info;
       case StmtKind::kBlockingAssign: {
-        const auto m = lvalue_mask(s->lhs);
+        auto m = lvalue_mask(s->lhs);
         if (!m) return MaskInfo::failed();
         info.may = *m;
-        info.must = *m;
+        info.must = std::move(*m);
         return info;
       }
       case StmtKind::kNonblockingAssign:
@@ -686,8 +727,8 @@ class Compiler {
         const MaskInfo b = stmt_masks(s->else_branch);
         if (!a.ok || !b.ok) return MaskInfo::failed();
         info.may = a.may;
-        merge_union(info.may, b.may);
-        info.must = merge_intersect(a.must, b.must);
+        or_into(info.may, b.may);
+        info.must = intersect(a.must, b.must);
         return info;
       }
       case StmtKind::kCase: {
@@ -697,12 +738,12 @@ class Compiler {
           if (item.labels.empty()) have_default = true;
           const MaskInfo ci = stmt_masks(item.body);
           if (!ci.ok) return MaskInfo::failed();
-          merge_union(info.may, ci.may);
+          or_into(info.may, ci.may);
           if (first) {
             info.must = ci.must;
             first = false;
           } else {
-            info.must = merge_intersect(info.must, ci.must);
+            info.must = intersect(info.must, ci.must);
           }
         }
         // Without a default, a no-match execution writes nothing.
@@ -759,10 +800,8 @@ class Compiler {
     const auto covered = [&](const std::string& name) {
       const auto sl = slot(name);
       if (!sl) return true;  // undeclared reads are rejected by can_throw
-      const auto t = targets.find(*sl);
-      if (t == targets.end()) return true;  // not written by this body
-      const auto w = written.find(*sl);
-      return w != written.end() && (w->second & t->second) == t->second;
+      const std::uint64_t t = mask_of(targets, *sl);
+      return (mask_of(written, *sl) & t) == t;  // t == 0: not written by this body
     };
     switch (e->kind) {
       case ExprKind::kIdent:
@@ -784,14 +823,6 @@ class Compiler {
   bool stmt_reads_dominated(const StmtPtr& s, const WriteMap& targets,
                             WriteMap& written) const {
     if (!s) return true;
-    const auto intersect = [](const WriteMap& a, const WriteMap& b) {
-      WriteMap out;
-      for (const auto& [sl, mask] : a) {
-        const auto it = b.find(sl);
-        if (it != b.end() && (mask & it->second)) out[sl] = mask & it->second;
-      }
-      return out;
-    };
     switch (s->kind) {
       case StmtKind::kBlock:
         for (const auto& c : s->stmts) {
@@ -802,7 +833,7 @@ class Compiler {
         if (!expr_reads_dominated(s->rhs, targets, written)) return false;
         const auto m = lvalue_mask(s->lhs);
         if (!m) return false;  // dynamic lvalues are rejected by stmt_masks
-        for (const auto& [sl, mask] : *m) written[sl] |= mask;
+        or_into(written, *m);
         return true;
       }
       case StmtKind::kIf: {
@@ -873,11 +904,18 @@ class Compiler {
       } else {
         const MaskInfo info = stmt_masks(p.body);
         if (!info.ok || info.may != info.must || !body_throw_free(p.body)) return;
-        // The sensitivity list must cover every read, otherwise the
-        // event-driven schedule deliberately *keeps* stale values that a
-        // dependency-ordered schedule would refresh.
-        for (const auto& name : statement_read_set(p.body)) {
-          if (!p.read_set.contains(name)) return;
+        // The sensitivity list must cover every signal the body reads,
+        // otherwise the event-driven schedule deliberately *keeps* stale
+        // values that a dependency-ordered schedule would refresh.
+        const ProgProcess& pp = prog_.processes[comb[k]];
+        for (std::uint32_t pc = pp.begin; pc < pp.end; ++pc) {
+          const Instr& in = prog_.code[pc];
+          const std::uint32_t regs[3] = {in.a, in.b, in.c};
+          for (unsigned i = 0; i < 3; ++i) {
+            if (((read_operands(in) >> i) & 1) && regs[i] < nsig_ &&
+                !std::binary_search(pp.sens.begin(), pp.sens.end(), regs[i]))
+              return;
+          }
         }
         wm = info.may;
       }
@@ -907,8 +945,8 @@ class Compiler {
 
     // Every driven bit needs exactly one combinational writer, or the
     // last-writer-wins order of the delta loop becomes observable.
-    std::map<std::uint32_t, std::uint64_t> driven;
-    std::map<std::uint32_t, std::vector<std::uint32_t>> writers_of;
+    std::vector<std::uint64_t> driven(nsig_, 0);
+    std::vector<std::vector<std::uint32_t>> writers_of(nsig_);
     for (std::size_t k = 0; k < n; ++k) {
       for (const auto& [sl, mask] : writes[k]) {
         if (driven[sl] & mask) return;
@@ -917,46 +955,23 @@ class Compiler {
       }
     }
 
-    // Dependency graph: writer -> reader, topologically sorted (ascending
-    // process id among ready nodes for determinism), depth-capped.
+    // Dependency graph: writer -> reader, topologically sorted and
+    // depth-capped; a cycle keeps the delta loop.
     std::vector<std::vector<std::uint32_t>> adj(n);
-    std::vector<std::uint32_t> indeg(n, 0);
-    std::set<std::pair<std::uint32_t, std::uint32_t>> seen;
     for (std::size_t k2 = 0; k2 < n; ++k2) {
-      for (const auto& name : design_.processes[comb[k2]].read_set) {
-        const auto sl = slot(name);
-        if (!sl) continue;
-        const auto it = writers_of.find(*sl);
-        if (it == writers_of.end()) continue;
-        for (const std::uint32_t k1 : it->second) {
+      for (const std::uint32_t sl : prog_.processes[comb[k2]].sens) {
+        for (const std::uint32_t k1 : writers_of[sl]) {
           if (k1 == k2) continue;  // write-before-read self-reads carry no edge
-          if (seen.emplace(k1, static_cast<std::uint32_t>(k2)).second) {
-            adj[k1].push_back(static_cast<std::uint32_t>(k2));
-            ++indeg[k2];
-          }
+          adj[k1].push_back(static_cast<std::uint32_t>(k2));
         }
       }
     }
-    std::set<std::uint32_t> ready;
-    for (std::uint32_t k = 0; k < n; ++k) {
-      if (indeg[k] == 0) ready.insert(k);
-    }
-    std::vector<std::uint32_t> order;
-    std::vector<int> depth(n, 1);
-    while (!ready.empty()) {
-      const std::uint32_t k = *ready.begin();
-      ready.erase(ready.begin());
-      order.push_back(comb[k]);
-      for (const std::uint32_t k2 : adj[k]) {
-        depth[k2] = std::max(depth[k2], depth[k] + 1);
-        if (--indeg[k2] == 0) ready.insert(k2);
-      }
-    }
-    if (order.size() != n) return;  // combinational cycle
-    if (*std::max_element(depth.begin(), depth.end()) > kMaxCombDepth) return;
+    std::optional<std::vector<std::uint32_t>> order = topo_order(adj, kMaxCombDepth);
+    if (!order) return;
+    for (std::uint32_t& k : *order) k = comb[k];
 
     prog_.levelized = true;
-    prog_.comb_order = std::move(order);
+    prog_.comb_order = std::move(*order);
     for (std::uint32_t rank = 0; rank < prog_.comb_order.size(); ++rank) {
       prog_.comb_rank[prog_.comb_order[rank]] = rank;
     }
@@ -986,5 +1001,32 @@ class Compiler {
 }  // namespace
 
 Program compile(const ElabDesign& design) { return Compiler(design).run(); }
+
+std::optional<std::vector<std::uint32_t>> topo_order(
+    const std::vector<std::vector<std::uint32_t>>& succ, int max_depth) {
+  const std::size_t n = succ.size();
+  std::vector<std::uint32_t> indeg(n, 0);
+  for (const auto& out : succ) {
+    for (const std::uint32_t s : out) ++indeg[s];
+  }
+  std::priority_queue<std::uint32_t, std::vector<std::uint32_t>, std::greater<>> ready;
+  for (std::uint32_t k = 0; k < n; ++k) {
+    if (indeg[k] == 0) ready.push(k);
+  }
+  std::vector<std::uint32_t> order;
+  std::vector<int> depth(n, 1);
+  while (!ready.empty()) {
+    const std::uint32_t k = ready.top();
+    ready.pop();
+    order.push_back(k);
+    for (const std::uint32_t s : succ[k]) {
+      depth[s] = std::max(depth[s], depth[k] + 1);
+      if (--indeg[s] == 0) ready.push(s);
+    }
+  }
+  if (order.size() != n) return std::nullopt;
+  if (n > 0 && *std::max_element(depth.begin(), depth.end()) > max_depth) return std::nullopt;
+  return order;
+}
 
 }  // namespace haven::sim

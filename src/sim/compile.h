@@ -22,6 +22,10 @@
 // interpreter-identical event-driven delta loop for the whole design.
 #pragma once
 
+#include <cstdint>
+#include <optional>
+#include <vector>
+
 #include "sim/elaborate.h"
 #include "sim/program.h"
 
@@ -30,5 +34,12 @@ namespace haven::sim {
 // Throws ElabError for the same eager faults as the Simulator constructor
 // (an edge on an unknown signal); everything else stays lazy.
 Program compile(const ElabDesign& design);
+
+// Kahn's topological order of the graph given by successor lists (duplicate
+// edges allowed): among ready nodes the lowest index goes first. nullopt on
+// a cycle or when a chain holds more than `max_depth` nodes. Levelization
+// and haven::prove's lowering order combinational processes with it.
+std::optional<std::vector<std::uint32_t>> topo_order(
+    const std::vector<std::vector<std::uint32_t>>& succ, int max_depth);
 
 }  // namespace haven::sim

@@ -305,10 +305,4 @@ ElabDesign elaborate(const Module& top, const SourceFile* file) {
   return Elaborator(top, file).run();
 }
 
-std::set<std::string> statement_read_set(const StmtPtr& body) {
-  std::set<std::string> out;
-  stmt_read_idents(body, out);
-  return out;
-}
-
 }  // namespace haven::sim

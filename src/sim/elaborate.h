@@ -59,8 +59,4 @@ struct ElabDesign {
 // be null if the design has no instances).
 ElabDesign elaborate(const verilog::Module& top, const verilog::SourceFile* file = nullptr);
 
-// Collect the identifiers *read* by a statement body (rhs values, conditions,
-// case labels and lvalue index expressions, but not assignment targets).
-std::set<std::string> statement_read_set(const verilog::StmtPtr& body);
-
 }  // namespace haven::sim

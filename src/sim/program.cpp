@@ -317,19 +317,7 @@ void CompiledSimulator::exec(std::uint32_t pc, std::uint32_t end) {
       case Op::kGe: r[in.dst] = v_ge(r[in.a], r[in.b]); ++pc; break;
       case Op::kLogAnd: r[in.dst] = v_logical_and(r[in.a], r[in.b]); ++pc; break;
       case Op::kLogOr: r[in.dst] = v_logical_or(r[in.a], r[in.b]); ++pc; break;
-      case Op::kPow: {
-        const Value& a = r[in.a];
-        const Value& b = r[in.b];
-        if (!a.is_fully_defined() || !b.is_fully_defined()) {
-          r[in.dst] = Value::all_x(a.width());
-        } else {
-          std::uint64_t p = 1;
-          for (std::uint64_t i = 0; i < b.bits() && i < 64; ++i) p *= a.bits();
-          r[in.dst] = Value::of(p, a.width());
-        }
-        ++pc;
-        break;
-      }
+      case Op::kPow: r[in.dst] = v_pow(r[in.a], r[in.b]); ++pc; break;
       case Op::kNot: r[in.dst] = v_not(r[in.a]); ++pc; break;
       case Op::kNeg: r[in.dst] = v_neg(r[in.a]); ++pc; break;
       case Op::kLogNot: r[in.dst] = v_logical_not(r[in.a]); ++pc; break;

@@ -51,7 +51,7 @@ enum class Op : std::uint8_t {
   // Binary (dst, a, b).
   kAnd, kOr, kXor, kAdd, kSub, kMul, kDiv, kMod, kShl, kShr,
   kEq, kNeq, kCaseEq, kLt, kLe, kGt, kGe, kLogAnd, kLogOr,
-  kPow,      // the interpreter's ** loop (width of a, X on any unknown)
+  kPow,      // v_pow (width of a, X on any unknown)
   // Unary (dst, a).
   kNot, kNeg, kLogNot, kRedAnd, kRedOr, kRedXor,
   // Structure.
@@ -99,6 +99,9 @@ struct ProgProcess {
   std::uint32_t begin = 0, end = 0;  // [begin, end) in Program::code
   // kClocked: (signal slot, edge) sensitivity items, in declaration order.
   std::vector<std::pair<std::uint32_t, verilog::Edge>> edges;
+  // kComb/kContAssign: slots of the declared signals in the read set,
+  // ascending. Empty means the process never runs.
+  std::vector<std::uint32_t> sens;
 };
 
 // A literal whose width falls outside Value's 1..64 range: materialized at
@@ -126,7 +129,9 @@ struct Program {
 
   // Per signal slot: combinational/continuous processes reading it, and
   // clocked processes edge-sensitive to it (ascending process ids — the
-  // interpreter's execution order).
+  // interpreter's execution order). A levelized process is left out of the
+  // comb watchers of the signals it writes; ProgProcess::sens keeps its full
+  // sensitivity.
   std::vector<std::vector<std::uint32_t>> comb_watchers;
   std::vector<std::vector<std::uint32_t>> edge_watchers;
   std::vector<std::uint32_t> edge_sigs;  // slots with >= 1 edge watcher

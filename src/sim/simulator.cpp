@@ -269,12 +269,7 @@ Value Simulator::eval(const ExprPtr& e) const {
       if (op == ">=") return v_ge(a, b);
       if (op == "&&") return v_logical_and(a, b);
       if (op == "||") return v_logical_or(a, b);
-      if (op == "**") {
-        if (!a.is_fully_defined() || !b.is_fully_defined()) return Value::all_x(a.width());
-        std::uint64_t r = 1;
-        for (std::uint64_t i = 0; i < b.bits() && i < 64; ++i) r *= a.bits();
-        return Value::of(r, a.width());
-      }
+      if (op == "**") return v_pow(a, b);
       throw ElabError("unsupported binary operator '" + op + "'");
     }
     case ExprKind::kTernary: {

@@ -88,6 +88,7 @@ class Value {
   friend Value v_mul(const Value& a, const Value& b);
   friend Value v_div(const Value& a, const Value& b);
   friend Value v_mod(const Value& a, const Value& b);
+  friend Value v_pow(const Value& a, const Value& b);  // width of a
   friend Value v_neg(const Value& a);
 
   friend Value v_shl(const Value& a, const Value& b);  // width of a
@@ -192,6 +193,14 @@ inline Value v_mod(const Value& a0, const Value& b0) {
   const int w = Value::max_w(a0, b0);
   if (!a0.is_fully_defined() || !b0.is_fully_defined() || b0.bits_ == 0) return Value::all_x(w);
   return Value::of(a0.bits_ % b0.bits_, w);
+}
+
+// Repeated multiplication, at most 64 factors; X if either side is unknown.
+inline Value v_pow(const Value& a, const Value& b) {
+  if (!a.is_fully_defined() || !b.is_fully_defined()) return Value::all_x(a.width());
+  std::uint64_t r = 1;
+  for (std::uint64_t i = 0; i < b.bits_ && i < 64; ++i) r *= a.bits_;
+  return Value::of(r, a.width());
 }
 
 inline Value v_neg(const Value& a) {

@@ -1,8 +1,10 @@
 #include "util/strings.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 namespace haven::util {
 
@@ -148,6 +150,39 @@ std::string indent(std::string_view s, int n) {
     out += '\n';
   }
   return out;
+}
+
+bool parse_i64(std::string_view s, long long* out) {
+  if (s.empty()) return false;
+  const std::string z(s);
+  errno = 0;
+  char* end = nullptr;
+  const long long v = std::strtoll(z.c_str(), &end, 10);
+  if (errno != 0 || end != z.c_str() + z.size()) return false;
+  *out = v;
+  return true;
+}
+
+bool parse_u64(std::string_view s, std::uint64_t* out) {
+  if (s.empty() || s[0] == '-') return false;
+  const std::string z(s);
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(z.c_str(), &end, 10);
+  if (errno != 0 || end != z.c_str() + z.size()) return false;
+  *out = v;
+  return true;
+}
+
+bool parse_f64(std::string_view s, double* out) {
+  if (s.empty()) return false;
+  const std::string z(s);
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(z.c_str(), &end);
+  if (errno != 0 || end != z.c_str() + z.size()) return false;
+  *out = v;
+  return true;
 }
 
 }  // namespace haven::util

@@ -2,6 +2,7 @@
 // and allocate only when they must return owning strings.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -41,6 +42,12 @@ bool is_identifier(std::string_view s);
 // Count whitespace-separated words; used by instruction evolution to enforce
 // the paper's "no more than ten words added or removed" constraint.
 std::size_t word_count(std::string_view s);
+
+// Strict numeric parsing: the whole of `s` must be one base-10 number within
+// the type's range ("abc", "3x" and "" fail). On failure *out is untouched.
+bool parse_i64(std::string_view s, long long* out);
+bool parse_u64(std::string_view s, std::uint64_t* out);  // rejects a leading '-'
+bool parse_f64(std::string_view s, double* out);
 
 // printf-style formatting into std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

@@ -87,6 +87,9 @@ TEST(EvalProveDiff, FullSuiteVerdictIdentical) {
   // criterion is verdict identity WHILE the formal path carries real load.
   EXPECT_GT(proved.counters.proven_equiv + proved.counters.proven_inequiv, 0);
   EXPECT_LT(proved.counters.simulated, sim_only.counters.simulated);
+  // A fallback keeps every verdict identical, so lost coverage is invisible
+  // to the checks above: pin the proven count on this fixed suite and seed.
+  EXPECT_GE(proved.counters.proven_equiv + proved.counters.proven_inequiv, 19);
 }
 
 TEST(EvalProveDiff, MultiSeedMultiSuiteParity) {

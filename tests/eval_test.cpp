@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "eval/engine.h"
+#include "eval/options.h"
 #include "eval/passk.h"
 #include "eval/report.h"
 #include "eval/suites.h"
@@ -171,6 +175,43 @@ TEST(Report, FormatsPercentagesAndPassTotals) {
   EXPECT_EQ(pct(0.0), "0.0");
   EXPECT_EQ(pass_total({6, 10}), "6/10(60.0%)");
   EXPECT_EQ(pass_total({0, 0}), "0/0(0.0%)");
+}
+
+// --- RequestOptions: strict numeric flag values ------------------------------
+
+RequestOptions parse_flags(std::vector<std::string> args) {
+  args.insert(args.begin(), "prog");
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  return RequestOptions::parse(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(RequestOptions, NumericFlagsParseWholeValues) {
+  const RequestOptions o = parse_flags({"--n=3", "--temps=0.2, 0.8", "--seed=42",
+                                        "--sim-budget=500", "--prove-budget", "64"});
+  EXPECT_EQ(o.n_samples, 3);
+  EXPECT_EQ(o.temperatures, (std::vector<double>{0.2, 0.8}));
+  EXPECT_EQ(o.seed, 42u);
+  EXPECT_EQ(o.sim_step_budget, 500u);
+  EXPECT_EQ(o.prove_budget, 64u);
+}
+
+// A malformed budget used to read as 0, which means unbounded.
+TEST(RequestOptionsDeathTest, MalformedSimBudgetExitsTwo) {
+  EXPECT_EXIT(parse_flags({"--sim-budget=abc"}), ::testing::ExitedWithCode(2),
+              "--sim-budget wants an unsigned integer, got 'abc'");
+}
+
+TEST(RequestOptionsDeathTest, MalformedProveBudgetExitsTwo) {
+  EXPECT_EXIT(parse_flags({"--prove-budget=abc"}), ::testing::ExitedWithCode(2),
+              "--prove-budget wants an unsigned integer, got 'abc'");
+  EXPECT_EXIT(parse_flags({"--prove-budget=-1"}), ::testing::ExitedWithCode(2),
+              "--prove-budget wants");
+}
+
+TEST(RequestOptionsDeathTest, TrailingJunkAndBadTemperaturesExitTwo) {
+  EXPECT_EXIT(parse_flags({"--n=3x"}), ::testing::ExitedWithCode(2), "--n wants");
+  EXPECT_EXIT(parse_flags({"--temps=abc"}), ::testing::ExitedWithCode(2), "--temps wants");
 }
 
 }  // namespace

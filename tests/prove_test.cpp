@@ -271,6 +271,212 @@ TEST(Prove, GoldenXBitsAreUnconstrained) {
   expect_matches_simulation(dut, golden, sim::StimulusSpec{}, r.status);
 }
 
+// --- bytecode constructs: decided, and agreeing with simulation --------------
+
+// The prover must decide the pair (no fallback) with simulation's verdict.
+void expect_decided_like_simulation(const std::string& dut, const std::string& golden) {
+  const ProveResult r = prove_sources(dut, golden, sim::StimulusSpec{});
+  ASSERT_TRUE(r.status == ProveStatus::kEquivalent || r.status == ProveStatus::kInequivalent)
+      << r.reason;
+  expect_matches_simulation(dut, golden, sim::StimulusSpec{}, r.status);
+}
+
+constexpr char kGoldenPriority[] =
+    "module top(input wire [3:0] req, output wire [1:0] idx, output wire valid);\n"
+    "  assign idx = req[3] ? 2'd3 : req[2] ? 2'd2 : req[1] ? 2'd1 : 2'd0;\n"
+    "  assign valid = |req;\n"
+    "endmodule\n";
+
+TEST(ProveBytecode, ForLoopWithSymbolicIfPriorityEncoder) {
+  // The back edge is taken by one path: the symbolic if inside the body
+  // merges before the loop step. The loop index is left out of the
+  // sensitivity list (its reads all follow its writes); under @(*) its
+  // rewrites would retrigger the block without end.
+  const std::string dut =
+      "module top(input wire [3:0] req, output reg [1:0] idx, output reg valid);\n"
+      "  integer i;\n"
+      "  always @(req) begin\n"
+      "    idx = 2'd0;\n"
+      "    valid = 1'b0;\n"
+      "    for (i = 0; i < 4; i = i + 1)\n"
+      "      if (req[i]) begin idx = i; valid = 1'b1; end\n"
+      "  end\n"
+      "endmodule\n";
+  expect_decided_like_simulation(dut, kGoldenPriority);
+  // Lowest index wins instead: a different function.
+  const std::string reversed =
+      "module top(input wire [3:0] req, output reg [1:0] idx, output reg valid);\n"
+      "  integer i;\n"
+      "  always @(req) begin\n"
+      "    idx = 2'd0;\n"
+      "    valid = 1'b0;\n"
+      "    for (i = 0; i < 4; i = i + 1)\n"
+      "      if (req[3 - i]) begin idx = 3 - i; valid = 1'b1; end\n"
+      "  end\n"
+      "endmodule\n";
+  expect_decided_like_simulation(reversed, kGoldenPriority);
+}
+
+TEST(ProveBytecode, SelfRetriggeringLoopFallsBackToSimulation) {
+  // Under @(*) the index is watched: every activation moves it 4 -> 0 -> 4,
+  // so the simulator never settles and fails the candidate. The prover
+  // must defer, not prove the settled function equivalent.
+  const std::string dut =
+      "module top(input wire [3:0] req, output reg [1:0] idx, output reg valid);\n"
+      "  integer i;\n"
+      "  always @(*) begin\n"
+      "    idx = 2'd0;\n"
+      "    valid = 1'b0;\n"
+      "    for (i = 0; i < 4; i = i + 1)\n"
+      "      if (req[i]) begin idx = i; valid = 1'b1; end\n"
+      "  end\n"
+      "endmodule\n";
+  const ProveResult r = prove_sources(dut, kGoldenPriority, sim::StimulusSpec{});
+  EXPECT_EQ(r.status, ProveStatus::kUnsupported);
+  EXPECT_NE(r.reason.find("sensitivity list watches"), std::string::npos) << r.reason;
+  util::Rng rng(3);
+  EXPECT_FALSE(sim::run_diff_test(dut, kGoldenPriority, sim::StimulusSpec{}, rng).passed);
+}
+
+TEST(ProveBytecode, CombinationalFeedbackFallsBackToSimulation) {
+  // Feedback through one process (a read of its own target before the
+  // write), through two processes (a cycle in the process graph), and
+  // through a child instance's port connections: the settled value can
+  // oscillate or latch, so the prover defers.
+  const std::string golden =
+      "module top(input wire a, input wire b, output wire y);\n"
+      "  assign y = a & b;\n"
+      "endmodule\n";
+  const std::string duts[] = {
+      "module top(input wire a, input wire b, output wire y);\n"
+      "  assign y = a ? b : y;\n"
+      "endmodule\n",
+      "module top(input wire a, input wire b, output reg y);\n"
+      "  always @(*) y = ~y ^ (a & b);\n"
+      "endmodule\n",
+      "module top(input wire a, input wire b, output wire y);\n"
+      "  wire q, qn;\n"
+      "  assign q = ~(a | qn);\n"
+      "  assign qn = ~(b | q);\n"
+      "  assign y = q;\n"
+      "endmodule\n",
+      "module inv(input wire i, output wire o);\n"
+      "  assign o = ~i;\n"
+      "endmodule\n"
+      "module top(input wire a, input wire b, output wire y);\n"
+      "  wire n;\n"
+      "  inv u0(.i(y), .o(n));\n"
+      "  assign y = (a & b) ^ n;\n"
+      "endmodule\n",
+  };
+  for (const std::string& dut : duts) {
+    verilog::ParseOutput parsed = verilog::parse_source(dut);
+    ASSERT_TRUE(parsed.ok() && !parsed.file.modules.empty()) << dut;
+    const verilog::Module& top = parsed.file.modules.back();
+    verilog::ParseOutput g = verilog::parse_source(golden);
+    const ProveResult r = prove_equivalence(top, &parsed.file, g.file.modules.front(), &g.file,
+                                            sim::StimulusSpec{});
+    EXPECT_EQ(r.status, ProveStatus::kUnsupported) << dut << r.reason;
+  }
+}
+
+TEST(ProveBytecode, CasezAndCasexWildcardLabels) {
+  const std::string golden =
+      "module top(input wire [2:0] sel, input wire a, input wire b, input wire c,\n"
+      "           output wire y);\n"
+      "  assign y = sel[2] ? a : sel[1] ? b : c;\n"
+      "endmodule\n";
+  const std::string casez_dut =
+      "module top(input wire [2:0] sel, input wire a, input wire b, input wire c,\n"
+      "           output reg y);\n"
+      "  always @(*) begin\n"
+      "    casez (sel)\n"
+      "      3'b1??: y = a;\n"
+      "      3'b01?: y = b;\n"
+      "      default: y = c;\n"
+      "    endcase\n"
+      "  end\n"
+      "endmodule\n";
+  expect_decided_like_simulation(casez_dut, golden);
+  const std::string casex_dut =
+      "module top(input wire [2:0] sel, input wire a, input wire b, input wire c,\n"
+      "           output reg y);\n"
+      "  always @(*) begin\n"
+      "    casex (sel)\n"
+      "      3'b1xx: y = a;\n"
+      "      3'b0x1: y = b;\n"
+      "      default: y = c;\n"
+      "    endcase\n"
+      "  end\n"
+      "endmodule\n";
+  expect_decided_like_simulation(casex_dut, golden);
+}
+
+TEST(ProveBytecode, ConcatLvalue) {
+  const std::string golden =
+      "module top(input wire [2:0] a, input wire [2:0] b, output wire [2:0] s,\n"
+      "           output wire co);\n"
+      "  wire [3:0] t = {1'b0, a} + {1'b0, b};\n"
+      "  assign s = t[2:0];\n"
+      "  assign co = t[3];\n"
+      "endmodule\n";
+  const std::string dut =
+      "module top(input wire [2:0] a, input wire [2:0] b, output wire [2:0] s,\n"
+      "           output wire co);\n"
+      "  assign {co, s} = {1'b0, a} + {1'b0, b};\n"
+      "endmodule\n";
+  expect_decided_like_simulation(dut, golden);
+}
+
+TEST(ProveBytecode, DynamicBitSelectWrite) {
+  const std::string golden =
+      "module top(input wire [1:0] sel, output wire [3:0] y);\n"
+      "  assign y = 4'b0001 << sel;\n"
+      "endmodule\n";
+  const std::string dut =
+      "module top(input wire [1:0] sel, output reg [3:0] y);\n"
+      "  always @(*) begin\n"
+      "    y = 4'b0000;\n"
+      "    y[sel] = 1'b1;\n"
+      "  end\n"
+      "endmodule\n";
+  expect_decided_like_simulation(dut, golden);
+}
+
+TEST(ProveBytecode, TernaryWithFaultableArmTakesEveryPath) {
+  // The then-arm names an undeclared signal on a never-taken side, so the
+  // ternary compiles to the branchy kJumpIfTrue / kJumpIfDefined / kMergeX
+  // form; a[i] is X for i >= 2, so the undefined-condition path is live too.
+  const std::string golden =
+      "module top(input wire [1:0] a, input wire [1:0] i, input wire [1:0] b,\n"
+      "           input wire [1:0] d, output wire [1:0] y);\n"
+      "  assign y = a[i] ? b : d;\n"
+      "endmodule\n";
+  const std::string dut =
+      "module top(input wire [1:0] a, input wire [1:0] i, input wire [1:0] b,\n"
+      "           input wire [1:0] d, output wire [1:0] y);\n"
+      "  assign y = a[i] ? (1'b0 ? nosuch : b) : d;\n"
+      "endmodule\n";
+  expect_decided_like_simulation(dut, golden);
+}
+
+TEST(ProveBytecode, ComplementaryElseIfWritesOnEveryPath) {
+  // The else-if's false side has path condition !a & a: pruned, so y is
+  // written on every path and no latch is inferred.
+  const std::string dut =
+      "module top(input wire a, input wire b, output reg y);\n"
+      "  always @(*) begin\n"
+      "    if (a) y = b;\n"
+      "    else if (!a) y = ~b;\n"
+      "  end\n"
+      "endmodule\n";
+  const std::string golden =
+      "module top(input wire a, input wire b, output wire y);\n"
+      "  assign y = a ? b : ~b;\n"
+      "endmodule\n";
+  expect_decided_like_simulation(dut, golden);
+}
+
 // --- golden self-proof calibration ------------------------------------------
 
 // Every provable suite golden must prove equivalent to itself: the lowering

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 
 #include "util/csv.h"
@@ -235,6 +236,23 @@ TEST(Csv, PlainFieldsUnquoted) {
 TEST(Csv, ArityMismatchThrows) {
   CsvWriter w({"a", "b"});
   EXPECT_THROW(w.add_row({"x"}), std::invalid_argument);
+}
+
+TEST(Strings, StrictNumericParsing) {
+  long long i = 7;
+  std::uint64_t u = 7;
+  double f = 7.0;
+  EXPECT_TRUE(parse_i64("-12", &i));
+  EXPECT_EQ(i, -12);
+  EXPECT_TRUE(parse_u64("18446744073709551615", &u));
+  EXPECT_EQ(u, ~std::uint64_t{0});
+  EXPECT_TRUE(parse_f64("0.25", &f));
+  EXPECT_DOUBLE_EQ(f, 0.25);
+  for (const char* bad : {"", "abc", "3x", "1.5"}) EXPECT_FALSE(parse_i64(bad, &i)) << bad;
+  for (const char* bad : {"", "-1", "abc", "18446744073709551616"})
+    EXPECT_FALSE(parse_u64(bad, &u)) << bad;
+  for (const char* bad : {"", "abc", "0.2x"}) EXPECT_FALSE(parse_f64(bad, &f)) << bad;
+  EXPECT_EQ(i, -12);  // failures leave the output untouched
 }
 
 }  // namespace
