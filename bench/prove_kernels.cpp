@@ -7,19 +7,30 @@
 // simulator — so the numbers can never come from a diverging decision
 // procedure.
 //
+// Prove is timed the way the eval engine runs it: the golden is prepared
+// once per kernel (prove::provable_golden), and each decision lowers only the
+// candidate against that compiled golden. Each repetition times `iters`
+// prove decisions and then `iters` simulated ones, so host drift hits both
+// paths of a pair alike; a kernel's speedup is the median over kReps = 5
+// repetitions.
+//
 // Usage:
 //   prove_kernels [--iters=N] [--bench-json=PATH] [--check[=X]]
 //
-//   --iters=N         timed decisions per kernel per path (default 200)
-//   --bench-json=PATH write a BENCH_prove.json record
-//   --check           exit 1 unless prove >= 1x simulate on EVERY kernel
-//                     (CI gate); --check=2.0 requires a 2x speedup
+//   --iters=N         timed decisions per kernel per path per repetition
+//                     (default 200)
+//   --bench-json=PATH write a BENCH_prove.json record, every repetition
+//                     included
+//   --check           exit 1 unless the median prove/sim speedup is >= 1x on
+//                     EVERY kernel (CI gate); --check=2.0 requires 2x
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -190,14 +201,36 @@ verilog::ParseOutput must_parse(const char* which, const char* name, const char*
   return out;
 }
 
+// One repetition: decisions/sec of each path and their ratio.
+struct Rep {
+  double prove_dps;
+  double sim_dps;
+  double speedup;
+};
+
 struct Row {
   const char* name;
   std::uint64_t nodes;  // budget units consumed by one equivalence proof
   bool used_bdd;
-  double prove_dps;  // decisions/sec, formal path
-  double sim_dps;    // decisions/sec, exhaustive diff-test path
-  double speedup;
+  std::vector<Rep> reps;
+  double median_prove_dps;
+  double median_sim_dps;
+  double median_speedup;
 };
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n == 0 ? 0 : n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+}
+
+// Interleaved prove/sim repetitions per kernel; the gate reads their median.
+constexpr int kReps = 5;
+
+double per_sec(int iters, std::chrono::steady_clock::duration d) {
+  const double s = std::chrono::duration<double>(d).count();
+  return s > 0 ? iters / s : 0;
+}
 
 }  // namespace
 
@@ -223,13 +256,18 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  if (iters < 1) {
+    std::cerr << "--iters must be >= 1\n";
+    return 2;
+  }
 
   const sim::StimulusSpec spec{};  // default comb spec: exhaustive <= 12 bits
   std::vector<Row> rows;
   bool all_fast_enough = true;
-  std::printf("prove_kernels: %d decisions per kernel per path\n", iters);
-  std::printf("%-11s %10s %6s %14s %14s %9s\n", "kernel", "nodes", "bdd", "prove d/s",
-              "sim d/s", "speedup");
+  std::printf("prove_kernels: %d decisions per kernel per path, %d repetitions\n", iters,
+              kReps);
+  std::printf("%-11s %10s %6s %14s %14s %9s %9s\n", "kernel", "nodes", "bdd", "prove d/s",
+              "sim d/s", "speedup", "min");
   for (const Kernel& k : kKernels) {
     verilog::ParseOutput golden = must_parse("golden", k.name, k.golden);
     verilog::ParseOutput dut = must_parse("dut", k.name, k.dut);
@@ -238,15 +276,16 @@ int main(int argc, char** argv) {
     const verilog::Module& dm = dut.file.modules.front();
     const verilog::Module& mm = mutant.file.modules.front();
 
-    if (!prove::golden_provable(gm, &golden.file, spec)) {
+    const std::optional<sim::Program> gp = prove::provable_golden(gm, &golden.file, spec);
+    if (!gp) {
       std::cerr << "kernel '" << k.name << "': golden not provable\n";
       return 1;
     }
 
     // Differential warm-up: the two decision procedures must agree on both
     // the equivalent DUT and the sabotaged mutant before anything is timed.
-    const prove::ProveResult eq = prove::prove_equivalence(dm, &dut.file, gm, &golden.file, spec);
-    const prove::ProveResult ne = prove::prove_equivalence(mm, &mutant.file, gm, &golden.file, spec);
+    const prove::ProveResult eq = prove::prove_equivalence(dm, &dut.file, gm, *gp, spec);
+    const prove::ProveResult ne = prove::prove_equivalence(mm, &mutant.file, gm, *gp, spec);
     util::Rng warm_rng(0x5eed);
     const bool sim_eq = sim::run_diff_test(dm, &dut.file, gm, &golden.file, spec, warm_rng).passed;
     const bool sim_ne = sim::run_diff_test(mm, &mutant.file, gm, &golden.file, spec, warm_rng).passed;
@@ -262,36 +301,46 @@ int main(int argc, char** argv) {
 
     // Timed runs: one full decision per iteration, alternating the equivalent
     // DUT and the mutant so both paths exercise the pass AND fail shapes.
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < iters; ++i) {
-      const verilog::ParseOutput& cand = (i & 1) ? mutant : dut;
-      (void)prove::prove_equivalence(cand.file.modules.front(), &cand.file, gm, &golden.file,
-                                     spec);
+    Row row{k.name, eq.nodes, eq.used_bdd, {}, 0, 0, 0};
+    for (int rep = 0; rep < kReps; ++rep) {
+      const auto t0 = std::chrono::steady_clock::now();
+      for (int i = 0; i < iters; ++i) {
+        const verilog::ParseOutput& cand = (i & 1) ? mutant : dut;
+        (void)prove::prove_equivalence(cand.file.modules.front(), &cand.file, gm, *gp, spec);
+      }
+      const auto t1 = std::chrono::steady_clock::now();
+      for (int i = 0; i < iters; ++i) {
+        const verilog::ParseOutput& cand = (i & 1) ? mutant : dut;
+        util::Rng rng(0x5eed ^ static_cast<std::uint64_t>(i));
+        (void)sim::run_diff_test(cand.file.modules.front(), &cand.file, gm, &golden.file, spec,
+                                 rng);
+      }
+      const auto t2 = std::chrono::steady_clock::now();
+      const double prove_dps = per_sec(iters, t1 - t0);
+      const double sim_dps = per_sec(iters, t2 - t1);
+      row.reps.push_back({prove_dps, sim_dps, sim_dps > 0 ? prove_dps / sim_dps : 0});
     }
-    const std::chrono::duration<double> prove_s = std::chrono::steady_clock::now() - t0;
-
-    const auto t1 = std::chrono::steady_clock::now();
-    for (int i = 0; i < iters; ++i) {
-      const verilog::ParseOutput& cand = (i & 1) ? mutant : dut;
-      util::Rng rng(0x5eed ^ static_cast<std::uint64_t>(i));
-      (void)sim::run_diff_test(cand.file.modules.front(), &cand.file, gm, &golden.file, spec,
-                               rng);
+    std::vector<double> prove_v, sim_v, speedup_v;
+    for (const Rep& r : row.reps) {
+      prove_v.push_back(r.prove_dps);
+      sim_v.push_back(r.sim_dps);
+      speedup_v.push_back(r.speedup);
     }
-    const std::chrono::duration<double> sim_s = std::chrono::steady_clock::now() - t1;
-
-    const double prove_dps = prove_s.count() > 0 ? iters / prove_s.count() : 0;
-    const double sim_dps = sim_s.count() > 0 ? iters / sim_s.count() : 0;
-    const double speedup = sim_dps > 0 ? prove_dps / sim_dps : 0;
-    rows.push_back({k.name, eq.nodes, eq.used_bdd, prove_dps, sim_dps, speedup});
-    if (speedup < check_ratio) all_fast_enough = false;
-    std::printf("%-11s %10llu %6s %14.0f %14.0f %8.2fx\n", k.name,
+    row.median_prove_dps = median(prove_v);
+    row.median_sim_dps = median(sim_v);
+    row.median_speedup = median(speedup_v);
+    if (row.median_speedup < check_ratio) all_fast_enough = false;
+    std::printf("%-11s %10llu %6s %14.0f %14.0f %8.2fx %8.2fx\n", k.name,
                 static_cast<unsigned long long>(eq.nodes), eq.used_bdd ? "yes" : "no",
-                prove_dps, sim_dps, speedup);
+                row.median_prove_dps, row.median_sim_dps, row.median_speedup,
+                *std::min_element(speedup_v.begin(), speedup_v.end()));
+    rows.push_back(std::move(row));
   }
 
   if (!json_path.empty()) {
     std::string record = haven::util::format(
-        "{\"bench\":\"prove_kernels\",\"schema\":1,\"iters\":%d,\"kernels\":[", iters);
+        "{\"bench\":\"prove_kernels\",\"schema\":2,\"iters\":%d,\"reps\":%d,\"kernels\":[",
+        iters, kReps);
     bool first = true;
     for (const Row& r : rows) {
       if (!first) record += ",";
@@ -299,9 +348,16 @@ int main(int argc, char** argv) {
       record += haven::util::format(
           "{\"name\":\"%s\",\"nodes\":%llu,\"used_bdd\":%s,"
           "\"prove_decisions_per_sec\":%.1f,\"sim_decisions_per_sec\":%.1f,"
-          "\"speedup\":%.3f}",
+          "\"speedup\":%.3f,\"reps\":[",
           r.name, static_cast<unsigned long long>(r.nodes), r.used_bdd ? "true" : "false",
-          r.prove_dps, r.sim_dps, r.speedup);
+          r.median_prove_dps, r.median_sim_dps, r.median_speedup);
+      for (std::size_t i = 0; i < r.reps.size(); ++i) {
+        record += haven::util::format(
+            "%s{\"prove_decisions_per_sec\":%.1f,\"sim_decisions_per_sec\":%.1f,"
+            "\"speedup\":%.3f}",
+            i == 0 ? "" : ",", r.reps[i].prove_dps, r.reps[i].sim_dps, r.reps[i].speedup);
+      }
+      record += "]}";
     }
     record += "]}\n";
     std::ofstream out(json_path);
@@ -315,7 +371,8 @@ int main(int argc, char** argv) {
 
   if (check && !all_fast_enough) {
     std::cerr << haven::util::format(
-        "--check failed: prove path below %.2fx on at least one kernel\n", check_ratio);
+        "--check failed: median prove/sim speedup below %.2fx on at least one kernel\n",
+        check_ratio);
     return 1;
   }
   return 0;

@@ -141,6 +141,7 @@ cache::Digest task_cache_seed(const EvalTask& task, std::uint64_t sim_step_budge
                               const repair::RepairPolicy* repair) {
   cache::Hasher h;
   h.u32(kVerdictSchemaVersion);
+  h.u32(kEvalSemanticsVersion);
   h.bytes(task.id);
   h.bytes(cache::canonical_verilog(task.golden_source));
   const sim::StimulusSpec& s = task.stimulus;
@@ -167,8 +168,7 @@ cache::Digest task_cache_seed(const EvalTask& task, std::uint64_t sim_step_budge
   // The repair knobs are bound ONLY when the loop is enabled: a hinted round
   // replays different counter flags and an extended (v3) payload, so repair
   // configs must key distinct entries — while the disabled default hashes
-  // nothing, keeping repair-off digests bit-identical to the pre-repair
-  // engine's.
+  // nothing, so a repair-off digest does not depend on the policy object.
   if (repair != nullptr && repair->enabled()) {
     h.bytes("repair");
     h.i32(repair->max_rounds);

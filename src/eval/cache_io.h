@@ -22,7 +22,9 @@
 //     entry — replaying across streams would not be bit-identical. Within a
 //     fixed (seed, unit, attempt) derivation the stream is stable across
 //     runs, which is exactly the cross-run reuse the cache targets.
-//   * a schema version, bumped whenever the payload layout changes.
+//   * a schema version, bumped whenever the payload layout changes,
+//   * a semantics version, bumped whenever the simulator, prove or lint
+//     change what they compute for the same text and task.
 //
 // Payloads are versioned little-endian binary; decode_verdict rejects (and
 // the engine then treats as a miss) anything malformed rather than throwing.
@@ -49,6 +51,13 @@ inline constexpr std::uint32_t kVerdictSchemaVersion = 2;
 // binds the repair knobs when enabled), so repair-off runs keep writing and
 // replaying byte-identical v2 entries. decode_verdict accepts both.
 inline constexpr std::uint32_t kVerdictSchemaVersionExtended = 3;
+// Bump when a verdict, fail_reason, finding or sim_vectors count can change
+// for the same text, task and knobs: the payload layout is unchanged, but an
+// entry written under the old semantics would replay what a cold run no
+// longer computes. task_cache_seed hashes it, so such entries miss.
+//   1: constant continuous assigns (`assign y = 1'b0;`) drive from power-up;
+//      before, they stayed X.
+inline constexpr std::uint32_t kEvalSemanticsVersion = 1;
 
 // The replayable outcome of one candidate's compile→lint→prove→simulate
 // stages.
@@ -77,13 +86,12 @@ bool decode_verdict(std::string_view payload, CachedVerdict* out);
 // Lint mode knob folded into the key: off / observe-only / triage.
 enum class CacheLintMode : std::uint8_t { kOff = 0, kObserve, kTriage };
 
-// Per-task key base, computed once per task per run: hashes the schema
-// version, task id, golden source (canonicalized), stimulus spec, sim step
+// Per-task key base, computed once per task per run: hashes the schema and
+// semantics versions, task id, golden source (canonicalized), stimulus spec, sim step
 // budget, lint mode, and the prove knobs (request-level: hashed whether or
 // not the task itself turns out to be provable). The repair policy is bound
-// ONLY when enabled — a null/disabled policy contributes nothing, so
-// repair-off digests are bit-identical to the pre-repair engine's and keep
-// hitting warm caches it wrote.
+// ONLY when enabled — a null/disabled policy contributes nothing, so a
+// repair-off digest equals the one the same build computes with no policy.
 cache::Digest task_cache_seed(const EvalTask& task, std::uint64_t sim_step_budget,
                               CacheLintMode lint_mode, bool prove = false,
                               std::uint64_t prove_budget = 0,

@@ -6,10 +6,14 @@
 #include <cmath>
 #include <cstdio>
 #include <ctime>
+#include <deque>
 #include <future>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <thread>
+#include <unordered_map>
 
 #include "cache/result_cache.h"
 #include "cot/sicot.h"
@@ -231,6 +235,9 @@ struct PreparedTask {
   // with no fallback counted.
   std::optional<sim::Program> prove_golden;
   prove::ProveOptions prove_opts;
+  // The testbench sweeps every input vector (sim::sweeps_exhaustively), so a
+  // candidate's diff result does not depend on its stimulus stream.
+  bool sweeps_exhaustively = false;
   // Null cache = caching off. `extended` selects the v3 verdict payload
   // carrying fail_reason (repair-enabled runs only; their task seeds already
   // key a disjoint space).
@@ -247,19 +254,7 @@ void fill_profile(const EvalTask& task, const verilog::ParseOutput& golden,
   profile->sequential = task.stimulus.sequential;
   profile->clock = task.stimulus.clock;
   profile->reset = task.stimulus.reset;
-  // Replicate the testbench's exhaustive-sweep policy (sim/testbench.cpp):
-  // data inputs are the golden's non-clock/reset inputs, swept exhaustively
-  // when their total bit count fits the budget.
-  if (!task.stimulus.sequential) {
-    int total_bits = 0;
-    for (const auto& p : gm.ports) {
-      if (p.dir == verilog::Dir::kOutput) continue;
-      if (p.name == task.stimulus.clock || p.name == task.stimulus.reset) continue;
-      total_bits += p.width();
-    }
-    profile->exhaustive_comb =
-        total_bits <= task.stimulus.max_exhaustive_bits && total_bits <= 20;
-  }
+  profile->exhaustive_comb = sim::sweeps_exhaustively(gm, task.stimulus);
   try {
     (void)sim::elaborate(gm, &golden.file);
   } catch (const sim::ElabError&) {
@@ -288,6 +283,9 @@ PreparedTask prepare_task(const EvalTask& task, const EvalRequest& request) {
   PreparedTask p;
   p.golden = verilog::parse_source(task.golden_source);
   p.golden_ok = p.golden.ok() && !p.golden.file.modules.empty();
+
+  p.sweeps_exhaustively =
+      p.golden_ok && sim::sweeps_exhaustively(p.golden.file.modules.front(), task.stimulus);
 
   p.lint = request.lint || request.lint_triage;
   p.lint_triage = request.lint_triage;
@@ -320,6 +318,70 @@ PreparedTask prepare_task(const EvalTask& task, const EvalRequest& request) {
   return p;
 }
 
+// One distinct candidate text's stage results, shared by the duplicate
+// samples of a (temperature, task) block (DESIGN.md §5). Parse, analysis,
+// lint and prove are pure functions of the text and the PreparedTask, and so
+// is the diff test when the golden is swept exhaustively: that sweep draws
+// nothing from the sample's testbench stream. Random-vector and sequential
+// tests do, so they are never stored. Each stage runs under `mu` and stores
+// only a completed result: it runs once per text however many workers reach
+// it, and a stage that threw is simply run again by the next sample.
+struct CandidateEntry {
+  struct Compiled {
+    verilog::ParseOutput parsed;
+    verilog::SourceAnalysis analysis;
+  };
+  std::mutex mu;
+  std::optional<Compiled> compiled;
+  std::optional<lint::LintResult> lint;
+  std::optional<prove::ProveResult> proof;
+  std::optional<sim::DiffResult> diff;  // exhaustive sweeps only
+};
+
+// `slot`'s value, computed under the entry lock by its first user. A sample
+// that waited for the lock while another ran the stage, and finds it still
+// unfilled (that run threw), checks its own deadline before computing, so
+// the wait surfaces as an ordinary deadline fault at `stage`. `hit`, when
+// non-null, reports whether an earlier sample had stored the value.
+template <typename T, typename Compute>
+const T& stage_once(CandidateEntry& entry, std::optional<T>& slot,
+                    const util::Deadline& deadline, const char* stage, Compute compute,
+                    bool* hit = nullptr) {
+  const std::lock_guard<std::mutex> lock(entry.mu);
+  if (hit != nullptr) *hit = slot.has_value();
+  if (!slot) {
+    deadline.check(stage);
+    slot.emplace(compute());
+  }
+  return *slot;
+}
+
+// The candidate memo of one (temperature, task) block, keyed by source text.
+// It starts empty, gains an entry per distinct text, and is emptied when the
+// block's last unit returns (its repair rounds included), so only the blocks
+// in flight — about one per worker — hold parsed candidates.
+class CandidateMemo {
+ public:
+  explicit CandidateMemo(std::size_t units) : pending_units_(units) {}
+
+  std::shared_ptr<CandidateEntry> entry(const std::string& source) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    std::shared_ptr<CandidateEntry>& e = entries_[source];
+    if (e == nullptr) e = std::make_shared<CandidateEntry>();
+    return e;
+  }
+
+  void unit_done() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (--pending_units_ == 0) decltype(entries_)().swap(entries_);
+  }
+
+ private:
+  std::mutex mu_;
+  std::unordered_map<std::string, std::shared_ptr<CandidateEntry>> entries_;
+  std::size_t pending_units_;
+};
+
 FaultKind classify_fault(const std::exception& e) {
   if (dynamic_cast<const util::InjectedFault*>(&e) != nullptr) return FaultKind::kInjected;
   if (dynamic_cast<const util::DeadlineExceeded*>(&e) != nullptr) return FaultKind::kDeadline;
@@ -329,17 +391,19 @@ FaultKind classify_fault(const std::exception& e) {
 
 // The candidate pipeline shared by evaluate() and check(): SI-CoT refine,
 // generate, cache lookup, compile-check, lint, prove, differential
-// simulation. The candidate is parsed once, by the compile stage, and that
-// parse feeds every later stage. The draw order against `rng` is part of the
-// determinism contract — do not reorder. Neither the deadline checks nor the
-// injection hook draw from `rng`, so enabling them never perturbs results. A
-// non-null `damping` routes generation through generate_with_hints (repair
-// rounds); round 0 and repair-off runs pass null and take the byte-identical
-// generate() path.
+// simulation. Each distinct text is parsed once per block, by the compile
+// stage of its first sample, and that parse feeds every later stage; with a
+// `memo`, duplicate samples also share the lint, prove and exhaustive-sweep
+// results (CandidateEntry). check() passes no memo and gets a private entry.
+// The draw order against `rng` is part of the determinism contract — do not
+// reorder. Neither the deadline checks nor the injection hook draw from
+// `rng`, so enabling them never perturbs results. A non-null `damping`
+// routes generation through generate_with_hints (repair rounds); round 0 and
+// repair-off runs pass null and take the byte-identical generate() path.
 CandidateOutcome run_candidate(const llm::SimLlm& model, const EvalTask& task,
                                const PreparedTask& prep, const EvalRequest& request,
                                double temperature, util::Rng& rng, UnitOutcome* stats,
-                               const util::Deadline& deadline,
+                               const util::Deadline& deadline, CandidateMemo* memo,
                                const llm::AxisDamping* damping = nullptr) {
   CandidateOutcome outcome;
 
@@ -411,11 +475,20 @@ CandidateOutcome run_candidate(const llm::SimLlm& model, const EvalTask& task,
     prep.cache->insert(cache_key, encode_verdict(v, prep.extended));
   };
 
-  // The one parse of the candidate, charged to the compile stage.
+  // The one parse of the text, charged to the compile stage.
   const Clock::time_point compile_start = Clock::now();
   util::maybe_inject(util::kSiteEvalCompile);
-  const verilog::ParseOutput parsed = verilog::parse_source(outcome.source);
-  const verilog::SourceAnalysis analysis = verilog::analyze_parsed(parsed);
+  const std::shared_ptr<CandidateEntry> entry =
+      memo != nullptr ? memo->entry(outcome.source) : std::make_shared<CandidateEntry>();
+  const CandidateEntry::Compiled& compiled =
+      stage_once(*entry, entry->compiled, deadline, "compile", [&] {
+        CandidateEntry::Compiled c;
+        c.parsed = verilog::parse_source(outcome.source);
+        c.analysis = verilog::analyze_parsed(c.parsed);
+        return c;
+      });
+  const verilog::ParseOutput& parsed = compiled.parsed;
+  const verilog::SourceAnalysis& analysis = compiled.analysis;
   outcome.syntax_ok = analysis.ok();
   if (stats != nullptr) {
     stats->compile_seconds = seconds_since(compile_start);
@@ -445,11 +518,14 @@ CandidateOutcome run_candidate(const llm::SimLlm& model, const EvalTask& task,
   // from `rng` (determinism contract).
   if (prep.lint) {
     const Clock::time_point lint_start = Clock::now();
-    lint::LintResult lint_result =
-        lint::lint_candidate(cand, &parsed.file, prep.golden_ok ? &prep.profile : nullptr);
+    const lint::LintResult& lint_result =
+        stage_once(*entry, entry->lint, deadline, "lint", [&] {
+          return lint::lint_candidate(cand, &parsed.file,
+                                      prep.golden_ok ? &prep.profile : nullptr);
+        });
     const bool proven = lint_result.proven_failure();
     if (stats != nullptr) {
-      stats->findings = std::move(lint_result.findings);
+      stats->findings = lint_result.findings;
       stats->lint_seconds = seconds_since(lint_start);
     }
     deadline.check("lint");
@@ -469,9 +545,10 @@ CandidateOutcome run_candidate(const llm::SimLlm& model, const EvalTask& task,
   // testbench's by construction; anything else falls through to it.
   if (prep.prove_golden) {
     const Clock::time_point prove_start = Clock::now();
-    const prove::ProveResult proof =
-        prove::prove_equivalence(cand, &parsed.file, prep.golden.file.modules.front(),
-                                 *prep.prove_golden, task.stimulus, prep.prove_opts);
+    const prove::ProveResult& proof = stage_once(*entry, entry->proof, deadline, "prove", [&] {
+      return prove::prove_equivalence(cand, &parsed.file, prep.golden.file.modules.front(),
+                                      *prep.prove_golden, task.stimulus, prep.prove_opts);
+    });
     if (stats != nullptr) stats->prove_seconds = seconds_since(prove_start);
     deadline.check("prove");
     if (proof.status == prove::ProveStatus::kEquivalent ||
@@ -494,9 +571,21 @@ CandidateOutcome run_candidate(const llm::SimLlm& model, const EvalTask& task,
   sim::StimulusSpec stimulus = task.stimulus;
   if (request.sim_step_budget != 0) stimulus.step_budget = request.sim_step_budget;
   stimulus.backend = request.sim_backend;
-  const sim::DiffResult diff =
-      sim::run_diff_test(cand, &parsed.file, prep.golden.file.modules.front(),
-                         &prep.golden.file, stimulus, tb_rng, &deadline);
+  auto simulate = [&] {
+    return sim::run_diff_test(cand, &parsed.file, prep.golden.file.modules.front(),
+                              &prep.golden.file, stimulus, tb_rng, &deadline);
+  };
+  const sim::DiffResult diff = [&] {
+    if (!prep.sweeps_exhaustively) return simulate();
+    bool hit = false;
+    const sim::DiffResult& stored =
+        stage_once(*entry, entry->diff, deadline, "exhaustive vector sweep", simulate, &hit);
+    // Injection draws key on (seed, site, unit context), not on a call count,
+    // so one hook call replays this unit's fate at the simulator it would
+    // have built.
+    if (hit && stored.simulated) util::maybe_inject(util::kSiteSimRun);
+    return stored;
+  }();
   outcome.func_ok = diff.passed;
   if (stats != nullptr) {
     stats->sim_seconds = seconds_since(sim_start);
@@ -517,8 +606,9 @@ CandidateOutcome EvalEngine::check(const llm::SimLlm& model, const EvalTask& tas
                                       ? util::Deadline::after_ms(request_.deadline_ms)
                                       : util::Deadline::none();
   // A default request prepares the golden only: lint, prove and cache off.
+  // One candidate has no duplicates to share with: no memo.
   return run_candidate(model, task, prepare_task(task, EvalRequest{}), request_, temperature,
-                       rng, nullptr, deadline);
+                       rng, nullptr, deadline, nullptr);
 }
 
 SuiteResult EvalEngine::evaluate(const llm::SimLlm& model, const Suite& suite) const {
@@ -555,6 +645,10 @@ SuiteResult EvalEngine::evaluate(const llm::SimLlm& model, const Suite& suite) c
     s = static_cast<int>(rest % n_samples);
   };
 
+  // One candidate memo per (temperature, task) block, in block index order.
+  std::deque<CandidateMemo> memos;
+  for (std::size_t b = 0; b < n_temps * n_tasks; ++b) memos.emplace_back(n_samples);
+
   // One isolated work unit: run the candidate pipeline, retrying transient
   // faults per the request's policy. Attempt k derives its RNG from
   // (seed, unit, k) — the k = 0 term is zero, so first attempts reproduce
@@ -562,7 +656,7 @@ SuiteResult EvalEngine::evaluate(const llm::SimLlm& model, const Suite& suite) c
   // from (seed, unit, k), so chaos runs are deterministic at any thread
   // count. Every exception is converted into a structured fault record;
   // nothing escapes the unit.
-  auto run_unit = [&](std::size_t unit) -> UnitOutcome {
+  auto attempt_unit = [&](std::size_t unit, CandidateMemo* memo) -> UnitOutcome {
     std::size_t ti = 0, task_i = 0;
     int s = 0;
     decode(unit, ti, task_i, s);
@@ -591,7 +685,7 @@ SuiteResult EvalEngine::evaluate(const llm::SimLlm& model, const Suite& suite) c
                                           : util::Deadline::none();
       try {
         run_candidate(model, suite.tasks[task_i], prepared[task_i], request_, temperature, rng,
-                      &stats, deadline);
+                      &stats, deadline, memo);
         if (!policy.enabled()) return stats;
 
         // Closed-loop self-repair (DESIGN.md §13): distill the latest pass's
@@ -622,7 +716,7 @@ SuiteResult EvalEngine::evaluate(const llm::SimLlm& model, const Suite& suite) c
           util::Rng round_rng(unit_seed ^ (0x8bb84b93962eacc9ULL * round));
           UnitOutcome pass;
           run_candidate(model, suite.tasks[task_i], prepared[task_i], request_, temperature,
-                        round_rng, &pass, deadline, &damping);
+                        round_rng, &pass, deadline, memo, &damping);
           rounds.push_back(std::move(pass));
         }
         if (rounds.empty()) return stats;
@@ -697,6 +791,14 @@ SuiteResult EvalEngine::evaluate(const llm::SimLlm& model, const Suite& suite) c
         return stats;
       }
     }
+  };
+  // A unit never throws, so every unit that runs reaches unit_done(). Units
+  // are numbered block-major, so unit / n_samples is the unit's block.
+  auto run_unit = [&](std::size_t unit) -> UnitOutcome {
+    CandidateMemo& memo = memos[unit / n_samples];
+    UnitOutcome outcome = attempt_unit(unit, &memo);
+    memo.unit_done();
+    return outcome;
   };
 
   auto make_fault = [&](std::size_t unit, const UnitOutcome& u) -> UnitFault {

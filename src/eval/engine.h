@@ -14,6 +14,13 @@
 //    pass counts, same best temperature, same deterministic counters.
 //  * Progress callbacks fire on the calling thread, in index order.
 //
+// Work sharing (see DESIGN.md §5.1): each (temperature, task) block parses
+// and analyzes every distinct candidate text once, and duplicate samples in
+// the block replay its lint and prove results and, when the testbench sweeps
+// exhaustively, its simulation. The shared results are pure functions of the
+// text and the task, so outputs are bit-identical to evaluating every sample
+// from scratch; the memo is released when the block's last unit returns.
+//
 // Fault tolerance (see DESIGN.md §7 "Failure semantics"):
 //  * Per-unit isolation: an exception thrown anywhere inside a work unit is
 //    caught in the worker, recorded as a structured UnitFault on the
@@ -356,7 +363,7 @@ class EvalRequest {
   // (seed, unit, attempt, round), so pass@k is monotonically non-decreasing
   // in max_rounds and results stay thread-count invariant. The default
   // (max_rounds = 0) leaves every verdict, counter, and cache digest
-  // bit-identical to the pre-repair engine.
+  // bit-identical to a run with no repair policy at all.
   repair::RepairPolicy repair;
 
   // --- result cache ---------------------------------------------------------

@@ -892,7 +892,11 @@ std::vector<Word> Lowerer::run() {
   initial_ = false;
 
   // 3. Classify processes. A comb/cont-assign process executes iff its
-  // sensitivity names at least one signal (init marks every signal dirty).
+  // sensitivity names at least one signal (init marks every signal dirty) or
+  // it is a constant assign, which runs once at power-up. Either way it runs
+  // before any reader settles, so one pass in dependency order covers both.
+  std::vector<bool> power_up(prog_.processes.size(), false);
+  for (const std::uint32_t pi : prog_.const_procs) power_up[pi] = true;
   std::vector<CombProc> comb;
   std::vector<bool> edge(nsig_, false), clocked_written(nsig_, false);
   for (std::uint32_t pi = 0; pi < prog_.processes.size(); ++pi) {
@@ -904,7 +908,7 @@ std::vector<Word> Lowerer::run() {
         if (is_store(prog_.code[pc].op)) clocked_written[prog_.code[pc].dst] = true;
       continue;
     }
-    if (p.sens.empty()) continue;  // never triggered: targets keep initial values
+    if (p.sens.empty() && !power_up[pi]) continue;  // never runs: targets keep initial values
     comb.push_back(classify(pi));
   }
 

@@ -27,15 +27,6 @@ constexpr std::uint64_t kLane[6] = {
     0xFF00FF00FF00FF00ULL, 0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL,
 };
 
-int data_input_bits(const Module& golden, const sim::StimulusSpec& spec) {
-  int total = 0;
-  for (const auto& p : golden.ports) {
-    if (p.dir == Dir::kOutput || p.name == spec.clock || p.name == spec.reset) continue;
-    total += p.width();
-  }
-  return total;
-}
-
 // One variable per data-input bit, in port order, LSB first — the exact bit
 // layout of the harness's exhaustive vector counter, which doubles as the BDD
 // variable order. The same literals feed both lowerings so the miscompare
@@ -100,18 +91,12 @@ bool sweep_unsat(const Aig& aig, Lit root, Budget* budget) {
 
 }  // namespace
 
-bool spec_provable(const Module& golden, const sim::StimulusSpec& spec) {
-  if (spec.sequential) return false;
-  // The proof is only verdict-identical when simulation would itself sweep
-  // every vector (run_diff_test's exhaustive gate).
-  const int total = data_input_bits(golden, spec);
-  return total <= spec.max_exhaustive_bits && total <= 20;
-}
-
 std::optional<sim::Program> provable_golden(const Module& golden, const SourceFile* golden_file,
                                             const sim::StimulusSpec& spec,
                                             const ProveOptions& opts) {
-  if (!spec_provable(golden, spec)) return std::nullopt;
+  // The proof is only verdict-identical when simulation would itself sweep
+  // every vector.
+  if (!sim::sweeps_exhaustively(golden, spec)) return std::nullopt;
   try {
     sim::Program program = sim::compile(sim::elaborate(golden, golden_file));
     Budget budget(opts.node_budget);
@@ -168,8 +153,7 @@ ProveResult prove_equivalence(const Module& dut, const SourceFile* dut_file, con
     return r;
   }
 
-  const int total_bits = data_input_bits(golden, spec);
-  if (total_bits > spec.max_exhaustive_bits || total_bits > 20) {
+  if (!sim::sweeps_exhaustively(golden, spec)) {
     r.reason = "input space exceeds the exhaustive sweep";
     return r;
   }
@@ -228,6 +212,8 @@ ProveResult prove_equivalence(const Module& dut, const SourceFile* dut_file, con
       // Discard the BDD attempt and fall back to the 64-lane cofactor sweep,
       // if the remaining budget covers it in full.
       budget.rewind(mark);
+      std::size_t total_bits = 0;
+      for (const auto& [name, lits] : vars) total_bits += lits.size();
       const std::uint64_t cost = aig.cone(mis).size() *
                                  (total_bits <= 6 ? 1 : (std::uint64_t{1} << (total_bits - 6)));
       if (!budget.fits(cost)) {

@@ -9,8 +9,8 @@
 // sweep as the fallback when the BDD outgrows its share of the node budget).
 //
 // The verdict contract: on a task where the engine deems the golden module
-// provable (spec_provable + golden_provable), kEquivalent is returned iff the
-// simulator's exhaustive sweep would pass the candidate, and kInequivalent
+// provable (golden_provable), kEquivalent is returned iff the simulator's
+// exhaustive sweep would pass the candidate, and kInequivalent
 // iff it would fail it — bit-identically, by construction. Everything the
 // lowering cannot mirror exactly returns kUnsupported (and budget blow-ups
 // kBudgetExceeded); both mean "simulate instead", never a wrong verdict.
@@ -50,15 +50,11 @@ struct ProveResult {
   bool used_exhaustive = false;
 };
 
-// Cheap static eligibility: combinational spec whose data-input bit count
-// fits the harness's exhaustive sweep (the proof is only verdict-identical
-// when simulation would itself test every vector).
-bool spec_provable(const verilog::Module& golden, const sim::StimulusSpec& spec);
-
-// Full eligibility: spec_provable plus a dry-run elaboration, compile and
-// lowering of the golden module under `opts`. When this holds,
-// prove_equivalence() on any candidate either returns a verdict identical to
-// simulation or defers to it.
+// Eligibility: sim::sweeps_exhaustively (the proof is only verdict-identical
+// when simulation would itself test every vector) plus a dry-run
+// elaboration, compile and lowering of the golden module under `opts`. When
+// this holds, prove_equivalence() on any candidate either returns a verdict
+// identical to simulation or defers to it.
 bool golden_provable(const verilog::Module& golden, const verilog::SourceFile* golden_file,
                      const sim::StimulusSpec& spec, const ProveOptions& opts = {});
 

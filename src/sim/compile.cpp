@@ -141,6 +141,8 @@ class Compiler {
       prog_.processes.push_back(std::move(pp));
       if (p.kind == ProcessKind::kInitial) {
         prog_.initial_procs.push_back(static_cast<std::uint32_t>(pi));
+      } else if (p.kind == ProcessKind::kContAssign && p.read_set.empty()) {
+        prog_.const_procs.push_back(static_cast<std::uint32_t>(pi));
       }
     }
     prog_.num_regs = max_regs_;

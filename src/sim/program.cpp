@@ -46,6 +46,9 @@ void CompiledSimulator::init() {
   loop_counters_.assign(program_.num_loops, 0);
 
   run_initial_blocks();
+  // Constant continuous assigns read no signal, so no dirty mark would ever
+  // schedule them: drive each once before the first settle.
+  for (std::uint32_t pi : program_.const_procs) run_process(program_.processes[pi]);
 
   // Settle everything once from the initial state (all signals dirty), with
   // edge bookkeeping primed to the post-initial values — the interpreter's

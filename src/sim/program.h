@@ -100,7 +100,8 @@ struct ProgProcess {
   // kClocked: (signal slot, edge) sensitivity items, in declaration order.
   std::vector<std::pair<std::uint32_t, verilog::Edge>> edges;
   // kComb/kContAssign: slots of the declared signals in the read set,
-  // ascending. Empty means the process never runs.
+  // ascending. Empty means no signal change ever re-runs the process (a
+  // constant assign still runs once at power-up; see const_procs).
   std::vector<std::uint32_t> sens;
 };
 
@@ -126,6 +127,9 @@ struct Program {
   std::vector<std::string> messages;   // kThrow texts
   std::vector<ProgProcess> processes;
   std::vector<std::uint32_t> initial_procs;  // kInitial processes, in order
+  // kContAssign processes with an empty read set, in order: nothing ever
+  // wakes them, so they run once at power-up, after the initial blocks.
+  std::vector<std::uint32_t> const_procs;
 
   // Per signal slot: combinational/continuous processes reading it, and
   // clocked processes edge-sensitive to it (ascending process ids — the

@@ -44,9 +44,16 @@ Simulator::Simulator(ElabDesign design, std::uint64_t step_budget)
   }
 
   run_initial_blocks();
+  // Constant continuous assigns read no signal, so no dirty mark would ever
+  // schedule them: drive each once before the first settle.
+  std::set<std::size_t> dirty;
+  for (const ElabProcess& p : design_.processes) {
+    if (p.kind == ProcessKind::kContAssign && p.read_set.empty()) {
+      execute_process(p, /*clocked=*/false, dirty);
+    }
+  }
 
   // Settle everything once from the initial state.
-  std::set<std::size_t> dirty;
   for (std::size_t i = 0; i < state_.size(); ++i) dirty.insert(i);
   prev_edge_state_ = state_;
   update(dirty);

@@ -96,6 +96,16 @@ struct Harness {
 
 }  // namespace
 
+bool sweeps_exhaustively(const Module& golden, const StimulusSpec& spec) {
+  if (spec.sequential) return false;
+  int total_bits = 0;
+  for (const auto& p : golden.ports) {
+    if (p.dir == Dir::kOutput || p.name == spec.clock || p.name == spec.reset) continue;
+    total_bits += p.width();
+  }
+  return total_bits <= spec.max_exhaustive_bits && total_bits <= 20;
+}
+
 DiffResult check_interface(const Module& dut, const Module& golden) {
   DiffResult r;
   for (const auto& gp : golden.ports) {
@@ -151,6 +161,7 @@ DiffResult run_diff_test(const Module& dut_mod, const SourceFile* dut_file,
 
     Harness h{AnySim(std::move(golden_design), spec.backend, spec.step_budget),
               AnySim(std::move(dut_design), spec.backend, spec.step_budget), {}, {}};
+    result.simulated = true;
     auto resolve_pair = [&](const std::string& name, int width) {
       return PortPair{name, width, h.golden.resolve(name), h.dut.resolve(name)};
     };
@@ -199,9 +210,9 @@ DiffResult run_diff_test(const Module& dut_mod, const SourceFile* dut_file,
     };
 
     if (!spec.sequential) {
-      int total_bits = 0;
-      for (const auto& in : h.data_inputs) total_bits += in.width;
-      if (total_bits <= spec.max_exhaustive_bits && total_bits <= 20) {
+      if (sweeps_exhaustively(golden_mod, spec)) {
+        int total_bits = 0;
+        for (const auto& in : h.data_inputs) total_bits += in.width;
         const std::uint64_t limit = std::uint64_t{1} << total_bits;
         for (std::uint64_t vec = 0; vec < limit; ++vec) {
           check_deadline("exhaustive vector sweep");

@@ -39,7 +39,18 @@ struct DiffResult {
   bool passed = false;
   std::string reason;  // first mismatch / failure description
   int vectors = 0;     // vectors or cycles actually compared
+  // Both simulators were built, so the kSiteSimRun injection hook fired;
+  // false when the interface check or the DUT's elaboration failed first.
+  bool simulated = false;
 };
+
+// The harness's stimulus policy: true iff a combinational `spec` drives every
+// input vector of `golden`, i.e. its data inputs (every non-output port except
+// the clock and reset) total at most max_exhaustive_bits and at most 20 bits.
+// Such a sweep draws nothing from the testbench RNG, so its DiffResult is a
+// pure function of the two designs and the spec. Otherwise a combinational
+// test drives `random_vectors` random vectors.
+bool sweeps_exhaustively(const verilog::Module& golden, const StimulusSpec& spec);
 
 // Structural port-interface comparison (names, directions, widths against the
 // golden module's ports). Shared by the diff harness and the haven::prove

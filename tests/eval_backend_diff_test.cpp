@@ -13,7 +13,9 @@
 #include "eval/engine.h"
 #include "eval/suites.h"
 #include "llm/model_zoo.h"
+#include "sim/testbench.h"
 #include "util/fault.h"
+#include "util/rng.h"
 
 namespace haven::eval {
 namespace {
@@ -175,6 +177,66 @@ TEST(EvalBackendDiff, WarmCacheReplaysAcrossBackends) {
   const SuiteResult warm2 = EvalEngine(ir).evaluate(model, suite);
   EXPECT_EQ(warm2.counters.cache_hits, warm2.counters.candidates);
   expect_backend_identical(cold2, cold);
+}
+
+// A continuous assign with an empty read set (`assign y = 1'b0;`) has no
+// signal to wake it; both backends drive it once at power-up. Golden X bits
+// are don't-care, so an undriven golden constant would accept any DUT value,
+// and an undriven DUT stub would fail with an X where it ties a 0.
+TEST(EvalBackendDiff, ConstantAssignsDriveOnBothSides) {
+  struct Case {
+    const char* name;
+    const char* dut;
+    const char* golden;
+    bool sequential;
+    bool passes;
+    const char* reason;
+  };
+  const Case cases[] = {
+      {"golden constant rejects another constant",
+       "module top(input wire a, input wire b, output wire y);\n  assign y = 1'b1;\nendmodule\n",
+       "module top(input wire a, input wire b, output wire y);\n  assign y = 1'b0;\nendmodule\n",
+       false, false, "vector 0: output 'y': golden=1'b0 dut=1'b1"},
+      {"golden constant accepts an equal function",
+       "module top(input wire a, input wire b, output wire y);\n  assign y = a & ~a;\nendmodule\n",
+       "module top(input wire a, input wire b, output wire y);\n  assign y = 1'b0;\nendmodule\n",
+       false, true, ""},
+      {"dut stub ties its output low",
+       "module top(input wire a, input wire b, output wire y);\n  assign y = 1'b0;\nendmodule\n",
+       "module top(input wire a, input wire b, output wire y);\n  assign y = a & b;\nendmodule\n",
+       false, false, "vector 3: output 'y': golden=1'b1 dut=1'b0"},
+      {"constant wire feeds downstream logic",
+       "module top(input wire a, input wire b, output wire [1:0] y);\n"
+       "  wire [1:0] k = 2'd1;\n  assign y = {1'b0, a} + k;\nendmodule\n",
+       "module top(input wire a, input wire b, output wire [1:0] y);\n"
+       "  assign y = {1'b0, a} + 2'd1;\nendmodule\n",
+       false, true, ""},
+      {"sequential golden with a constant output",
+       "module top(input wire clk, input wire rst, input wire d, output reg q,\n"
+       "           output wire busy);\n"
+       "  always @(posedge clk) if (rst) q <= 1'b0; else q <= d;\n"
+       "  assign busy = 1'b1;\nendmodule\n",
+       "module top(input wire clk, input wire rst, input wire d, output reg q,\n"
+       "           output wire busy);\n"
+       "  always @(posedge clk) if (rst) q <= 1'b0; else q <= d;\n"
+       "  assign busy = 1'b0;\nendmodule\n",
+       true, false, "initial reset assertion: output 'busy': golden=1'b0 dut=1'b1"},
+  };
+  for (const Case& c : cases) {
+    for (const sim::SimBackend backend :
+         {sim::SimBackend::kInterpreter, sim::SimBackend::kCompiled}) {
+      sim::StimulusSpec spec;
+      spec.backend = backend;
+      if (c.sequential) {
+        spec.sequential = true;
+        spec.reset = "rst";
+      }
+      util::Rng rng(0x5eed);
+      const sim::DiffResult r = sim::run_diff_test(c.dut, c.golden, spec, rng);
+      EXPECT_EQ(r.passed, c.passes) << c.name << " / " << r.reason;
+      EXPECT_EQ(r.reason, c.reason) << c.name;
+    }
+  }
 }
 
 }  // namespace

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "eval/engine.h"
 #include "eval/report.h"
 #include "eval/suites.h"
 #include "llm/model_zoo.h"
+#include "util/fault.h"
+#include "util/strings.h"
 #include "util/thread_pool.h"
 
 namespace haven::eval {
@@ -189,6 +194,228 @@ TEST(EvalEngine, UnparseableGoldenFaultsEveryCompiledCandidate) {
   }
   evaluate(EvalRequest(request).with_lint());
   evaluate(EvalRequest(request).with_lint_triage());
+}
+
+// --- pinned regression --------------------------------------------------
+//
+// Every deterministic output of three fixed runs, rendered as text and pinned
+// to values recorded before the engine shared work between duplicate samples.
+// Any drift in verdicts, accounting, fault records or the lint block shows up
+// here as a readable diff (long lists are pinned by length + FNV-1a digest).
+
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// "syntax/func" per task of the reported temperature, space separated.
+std::string tallies_text(const SuiteResult& r) {
+  std::string out = util::format("t=%.1f", r.temperature);
+  for (const TaskResult& t : r.per_task) {
+    out += util::format(" %d/%d", t.syntax_pass, t.func_pass);
+  }
+  return out;
+}
+
+// Every EvalCounters field that does not measure time or the host.
+std::string counters_text(const EvalCounters& c) {
+  return util::format(
+      "candidates=%lld compile_failures=%lld sim_mismatches=%lld sicot_refinements=%lld "
+      "unit_faults=%lld deadline_exceeded=%lld cycles_aborted=%lld retries=%lld "
+      "lint_findings=%lld lint_triaged=%lld simulated=%lld sim_vectors=%lld "
+      "proven_equiv=%lld proven_inequiv=%lld prove_fallback=%lld repair_rounds=%lld "
+      "repaired_pass=%lld repair_exhausted=%lld cache_hits=%lld cache_misses=%lld "
+      "cache_evictions=%lld cache_bytes=%lld",
+      static_cast<long long>(c.candidates), static_cast<long long>(c.compile_failures),
+      static_cast<long long>(c.sim_mismatches), static_cast<long long>(c.sicot_refinements),
+      static_cast<long long>(c.unit_faults), static_cast<long long>(c.deadline_exceeded),
+      static_cast<long long>(c.cycles_aborted), static_cast<long long>(c.retries),
+      static_cast<long long>(c.lint_findings), static_cast<long long>(c.lint_triaged),
+      static_cast<long long>(c.simulated), static_cast<long long>(c.sim_vectors),
+      static_cast<long long>(c.proven_equiv), static_cast<long long>(c.proven_inequiv),
+      static_cast<long long>(c.prove_fallback), static_cast<long long>(c.repair_rounds),
+      static_cast<long long>(c.repaired_pass), static_cast<long long>(c.repair_exhausted),
+      static_cast<long long>(c.cache_hits), static_cast<long long>(c.cache_misses),
+      static_cast<long long>(c.cache_evictions), static_cast<long long>(c.cache_bytes));
+}
+
+std::string faults_text(const SuiteResult& r) {
+  std::string out;
+  for (const UnitFault& f : r.faults) {
+    out += util::format("%s#%d@%.1f x%d %s: %s\n", f.task_id.c_str(), f.sample, f.temperature,
+                        f.attempts, fault_kind_name(f.kind), f.what.c_str());
+  }
+  return out;
+}
+
+// Length and digest of a long canonical text, e.g. "4180:0123456789abcdef".
+std::string digest_text(const std::string& s) {
+  return util::format("%zu:%016llx", s.size(), static_cast<unsigned long long>(fnv1a(s)));
+}
+
+struct Pins {
+  std::string tallies;
+  std::string counters;
+  std::string faults;  // digest_text(faults_text)
+  std::string lint;    // digest_text(lint_json)
+};
+
+void expect_pinned(const SuiteResult& r, const Pins& pins) {
+  EXPECT_EQ(tallies_text(r), pins.tallies);
+  EXPECT_EQ(counters_text(r.counters), pins.counters);
+  EXPECT_EQ(digest_text(faults_text(r)), pins.faults) << faults_text(r);
+  EXPECT_EQ(digest_text(lint_json(r)), pins.lint);
+  EXPECT_TRUE(counters_consistent(r.counters)) << counters_inconsistency(r.counters);
+}
+
+EvalRequest rtllm_pin_request() {
+  return EvalRequest{}.with_samples(10).with_temperatures({0.2, 0.5, 0.8}).with_threads(4);
+}
+
+SuiteResult run_pin_b() {
+  util::FaultInjector injector(0xC405);
+  injector.arm(util::kSiteSimRun, 0.2);
+  injector.arm(util::kSiteEvalCompile, 0.2);
+  injector.install();
+  const SuiteResult r = EvalEngine(rtllm_pin_request().with_retries(2))
+                            .evaluate(llm::make_model("GPT-4"), build_rtllm());
+  injector.uninstall();
+  return r;
+}
+
+EvalRequest human_pin_request() {
+  return EvalRequest{}
+      .with_samples(10)
+      .with_temperatures({0.2, 0.5, 0.8})
+      .with_threads(4)
+      .with_sicot()
+      .with_lint_triage()
+      .with_prove()
+      .with_repair_rounds(2);
+}
+
+// (a) RTLLM x GPT-4, three temperatures, n = 10: the default simulated path.
+TEST(EvalEnginePins, RtllmDefaultPath) {
+  expect_pinned(
+      EvalEngine(rtllm_pin_request()).evaluate(llm::make_model("GPT-4"), build_rtllm()),
+      {"t=0.8 5/0 9/7 0/0 10/10 10/8 10/0 10/0 10/0 10/0 9/0 9/8 10/8 10/8 9/0 4/0 10/0 10/1 "
+       "10/0 10/0 10/9 10/0 10/0 9/3 10/8 10/7 10/7 10/9 10/10 10/0",
+       "candidates=870 compile_failures=84 sim_mismatches=492 sicot_refinements=0 "
+       "unit_faults=0 deadline_exceeded=0 cycles_aborted=0 retries=0 lint_findings=0 "
+       "lint_triaged=0 simulated=786 sim_vectors=147496 proven_equiv=0 proven_inequiv=0 "
+       "prove_fallback=0 repair_rounds=0 repaired_pass=0 repair_exhausted=0 cache_hits=0 "
+       "cache_misses=0 cache_evictions=0 cache_bytes=0",
+       "0:cbf29ce484222325", "513:bf3e98fa67cc1c71"});
+}
+
+// (b) The same run with the compile and simulation sites armed and retries
+// on: faults land on the same units, with the same attempts and messages.
+TEST(EvalEnginePins, RtllmChaosWithRetries) {
+  expect_pinned(
+      run_pin_b(),
+      {"t=0.5 2/0 10/8 0/0 10/6 10/9 10/0 10/0 10/0 10/0 7/0 10/9 10/10 10/10 9/0 3/0 9/0 "
+       "10/0 10/0 9/0 9/7 10/0 10/0 10/5 10/5 9/5 9/5 10/10 10/8 10/0",
+       "candidates=870 compile_failures=84 sim_mismatches=470 sicot_refinements=0 "
+       "unit_faults=30 deadline_exceeded=0 cycles_aborted=0 retries=352 lint_findings=0 "
+       "lint_triaged=0 simulated=756 sim_vectors=138630 proven_equiv=0 proven_inequiv=0 "
+       "prove_fallback=0 repair_rounds=0 repaired_pass=0 repair_exhausted=0 cache_hits=0 "
+       "cache_misses=0 cache_evictions=0 cache_bytes=0",
+       "1695:609e21f8382fdd8f", "513:d37273db25f5613a"});
+}
+
+// (c) VerilogEval-human with SI-CoT, lint triage, prove and two repair
+// rounds: every verdict path is live, and lint_findings must match too.
+TEST(EvalEnginePins, HumanFastPathWithRepair) {
+  expect_pinned(
+      EvalEngine(human_pin_request())
+          .evaluate(llm::make_model("GPT-4"), build_verilogeval_human()),
+      {"t=0.2 10/10 10/10 10/10 10/0 10/10 10/9 10/10 10/10 10/0 10/10 10/10 7/0 9/2 10/10 "
+       "10/10 10/10 10/10 10/10 10/3 10/10 10/10 10/10 10/6 10/0 10/10 10/10 10/10 9/9 10/10 "
+       "10/10 10/0 10/0 10/2 10/10 10/5 10/0 10/10 10/0 9/0 0/0 10/10 10/9 10/10 10/10 10/10 "
+       "10/10 10/0 10/10 10/9 10/10 10/10 10/10 0/0 10/9 9/2 10/1 10/10 1/0 10/10 5/0 10/1 "
+       "10/10 10/10 10/10 10/10 10/10 10/10 10/10 7/0 10/0 9/9 10/0 10/6 10/10 10/10 10/0 0/0 "
+       "10/0 10/2 10/0 10/10 10/10 10/10 10/10 10/10 1/0 10/10 10/8 10/0 10/10 10/8 0/0 10/10 "
+       "10/10 10/10 10/0 4/3 10/4 10/10 10/10 10/10 10/10 10/10 10/7 10/2 10/10 10/10 9/0 "
+       "10/10 10/4 10/10 10/0 8/0 9/4 10/9 10/9 10/10 10/10 10/9 10/9 10/0 10/10 10/8 10/9 "
+       "10/10 10/10 10/3 10/10 10/10 10/10 10/10 10/10 10/1 10/10 10/10 10/10 10/0 10/10 "
+       "10/10 10/9 10/10 10/10 10/2 10/0 10/10 9/1 10/8 10/0 10/0 10/5 10/0 10/9 10/9 10/10 "
+       "10/10 10/0",
+       "candidates=4680 compile_failures=707 sim_mismatches=5476 sicot_refinements=1260 "
+       "unit_faults=0 deadline_exceeded=0 cycles_aborted=0 retries=0 lint_findings=3010 "
+       "lint_triaged=1140 simulated=3569 sim_vectors=164910 proven_equiv=1929 "
+       "proven_inequiv=1930 prove_fallback=224 repair_rounds=4595 repaired_pass=1174 "
+       "repair_exhausted=1588 cache_hits=0 cache_misses=0 cache_evictions=0 cache_bytes=0",
+       "0:cbf29ce484222325", "625628:37a78d9b89ad9fa5"});
+}
+
+// A block where the model mostly repeats itself (rtllm_12, a comparator swept
+// exhaustively): duplicate samples share stage results, and that sharing must
+// not depend on which worker reaches a text first.
+TEST(EvalEnginePins, DuplicateHeavyBlockIsThreadCountInvariant) {
+  const llm::SimLlm model = llm::make_model("GPT-4");
+  Suite suite = build_rtllm();
+  suite.tasks = {suite.tasks[12]};
+
+  std::set<std::string> distinct;
+  for (std::uint64_t seed = 0; seed < 24; ++seed) {
+    util::Rng rng(seed);
+    distinct.insert(EvalEngine().check(model, suite.tasks.front(), 0.2, rng).source);
+  }
+  EXPECT_LE(distinct.size(), 6u);  // the block is mostly duplicates
+
+  const EvalRequest base = EvalRequest{}.with_samples(24).with_temperature(0.2);
+  for (const EvalRequest& request :
+       {base, EvalRequest(base).with_lint_triage().with_prove().with_repair_rounds(2)}) {
+    const SuiteResult serial =
+        EvalEngine(EvalRequest(request).with_threads(1)).evaluate(model, suite);
+    const SuiteResult wide =
+        EvalEngine(EvalRequest(request).with_threads(8)).evaluate(model, suite);
+    EXPECT_EQ(tallies_text(serial), tallies_text(wide));
+    EXPECT_EQ(counters_text(serial.counters), counters_text(wide.counters));
+    EXPECT_EQ(faults_text(serial), faults_text(wide));
+    EXPECT_EQ(lint_json(serial), lint_json(wide));
+  }
+}
+
+// RTLLM, whose blocks repeat texts, under a 1 ms per-attempt deadline on 8
+// workers: duplicates wait on each other's stage runs, and that wait counts
+// against their own deadline. Whatever the timing, a wait may only surface as
+// an ordinary deadline fault, and every unit that completes reports the
+// verdict of the deadline-free run.
+TEST(EvalEnginePins, TightDeadlineWithDuplicatesFaultsOnlyAsDeadline) {
+  const llm::SimLlm model = llm::make_model("GPT-4");
+  const Suite suite = build_rtllm();
+
+  const EvalRequest base = EvalRequest{}.with_samples(24).with_temperature(0.2).with_threads(8);
+  for (const EvalRequest& request : {base, EvalRequest(base).with_lint_triage().with_prove()}) {
+    const SuiteResult free_run = EvalEngine(request).evaluate(model, suite);
+    const SuiteResult tight =
+        EvalEngine(EvalRequest(request).with_deadline_ms(1)).evaluate(model, suite);
+    EXPECT_EQ(tight.counters.candidates, free_run.counters.candidates);
+    EXPECT_EQ(tight.counters.unit_faults, tight.counters.deadline_exceeded);
+    EXPECT_TRUE(counters_consistent(tight.counters)) << counters_inconsistency(tight.counters);
+    std::vector<int> faults(suite.tasks.size(), 0);
+    for (const UnitFault& f : tight.faults) {
+      EXPECT_EQ(f.kind, FaultKind::kDeadline) << f.what;
+      EXPECT_EQ(f.what.rfind("deadline exceeded at ", 0), 0u) << f.what;
+      for (std::size_t i = 0; i < suite.tasks.size(); ++i) {
+        if (suite.tasks[i].id == f.task_id) ++faults[i];
+      }
+    }
+    ASSERT_EQ(tight.per_task.size(), free_run.per_task.size());
+    for (std::size_t i = 0; i < suite.tasks.size(); ++i) {
+      const TaskResult& want = free_run.per_task[i];
+      const TaskResult& got = tight.per_task[i];
+      EXPECT_LE(got.syntax_pass, want.syntax_pass) << suite.tasks[i].id;
+      EXPECT_GE(got.syntax_pass + faults[i], want.syntax_pass) << suite.tasks[i].id;
+      EXPECT_LE(got.func_pass, want.func_pass) << suite.tasks[i].id;
+      EXPECT_GE(got.func_pass + faults[i], want.func_pass) << suite.tasks[i].id;
+    }
+  }
 }
 
 TEST(EvalRequest, CotModelAccessorIsOptionalStyle) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,7 +15,11 @@
 #include "eval/engine.h"
 #include "eval/suites.h"
 #include "llm/model_zoo.h"
+#include "prove/prove.h"
+#include "sim/testbench.h"
 #include "util/fault.h"
+#include "util/rng.h"
+#include "verilog/parser.h"
 
 namespace haven::eval {
 namespace {
@@ -228,6 +233,59 @@ TEST(EvalProveDiff, BudgetExhaustionFallsBackToSimulation) {
   expect_verdicts_identical(sim_only, proved);
   expect_work_conserved(sim_only, proved);
   EXPECT_GT(proved.counters.prove_fallback, 0);
+}
+
+// Constant continuous assigns run once at power-up in the simulator; the
+// lowering must give them the same constant, on the DUT side and on the
+// golden side, so proven verdicts keep matching the testbench's.
+TEST(EvalProveDiff, ConstantAssignsMatchSimulation) {
+  struct Case {
+    const char* name;
+    const char* dut;
+    const char* golden;
+    bool equivalent;
+  };
+  const Case cases[] = {
+      {"golden constant rejects another constant",
+       "module top(input wire a, input wire b, output wire y);\n  assign y = 1'b1;\nendmodule\n",
+       "module top(input wire a, input wire b, output wire y);\n  assign y = 1'b0;\nendmodule\n",
+       false},
+      {"golden constant accepts an equal function",
+       "module top(input wire a, input wire b, output wire y);\n  assign y = a & ~a;\nendmodule\n",
+       "module top(input wire a, input wire b, output wire y);\n  assign y = 1'b0;\nendmodule\n",
+       true},
+      {"dut stub ties its output low",
+       "module top(input wire a, input wire b, output wire y);\n  assign y = 1'b0;\nendmodule\n",
+       "module top(input wire a, input wire b, output wire y);\n  assign y = a & b;\nendmodule\n",
+       false},
+      {"dut stub matches a golden that is constant where defined",
+       "module top(input wire a, input wire b, output wire y);\n  assign y = 1'b0;\nendmodule\n",
+       "module top(input wire a, input wire b, output wire y);\n  assign y = a & ~a;\nendmodule\n",
+       true},
+      {"constant wire feeds downstream logic",
+       "module top(input wire a, input wire b, output wire [1:0] y);\n"
+       "  wire [1:0] k = 2'd1;\n  assign y = {1'b0, a} + k;\nendmodule\n",
+       "module top(input wire a, input wire b, output wire [1:0] y);\n"
+       "  assign y = {1'b0, a} + 2'd1;\nendmodule\n",
+       true},
+  };
+  const sim::StimulusSpec spec;
+  for (const Case& c : cases) {
+    const verilog::ParseOutput dut = verilog::parse_source(c.dut);
+    const verilog::ParseOutput golden = verilog::parse_source(c.golden);
+    ASSERT_TRUE(dut.ok() && golden.ok()) << c.name;
+    const verilog::Module& gm = golden.file.modules.front();
+    const std::optional<sim::Program> gp = prove::provable_golden(gm, &golden.file, spec);
+    ASSERT_TRUE(gp.has_value()) << c.name;
+    const prove::ProveResult proof =
+        prove::prove_equivalence(dut.file.modules.front(), &dut.file, gm, *gp, spec);
+    EXPECT_EQ(proof.status, c.equivalent ? prove::ProveStatus::kEquivalent
+                                         : prove::ProveStatus::kInequivalent)
+        << c.name << " / " << proof.reason;
+    util::Rng rng(0x5eed);
+    const sim::DiffResult diff = sim::run_diff_test(c.dut, c.golden, spec, rng);
+    EXPECT_EQ(diff.passed, c.equivalent) << c.name << " / " << diff.reason;
+  }
 }
 
 }  // namespace

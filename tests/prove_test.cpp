@@ -221,7 +221,7 @@ TEST(Prove, SequentialSpecUnsupported) {
       "endmodule\n";
   EXPECT_EQ(prove_sources(golden, golden, spec).status, ProveStatus::kUnsupported);
   verilog::ParseOutput g = verilog::parse_source(golden);
-  EXPECT_FALSE(spec_provable(g.file.modules.front(), spec));
+  EXPECT_FALSE(sim::sweeps_exhaustively(g.file.modules.front(), spec));
   EXPECT_FALSE(golden_provable(g.file.modules.front(), &g.file, spec));
 }
 
@@ -236,7 +236,7 @@ TEST(Prove, WideInputSpaceUnsupported) {
   const ProveResult r = prove_sources(golden, golden, sim::StimulusSpec{});
   EXPECT_EQ(r.status, ProveStatus::kUnsupported);
   verilog::ParseOutput g = verilog::parse_source(golden);
-  EXPECT_FALSE(spec_provable(g.file.modules.front(), sim::StimulusSpec{}));
+  EXPECT_FALSE(sim::sweeps_exhaustively(g.file.modules.front(), sim::StimulusSpec{}));
 }
 
 TEST(Prove, TinyBudgetExceeded) {
