@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/compile.h"
 #include "sim/program.h"
 #include "sim/simulator.h"
 #include "util/strings.h"
@@ -166,7 +165,6 @@ double run_kernel(Sim& s, const Kernel& k, int cycles, std::uint64_t* checksum) 
 
 struct Row {
   const char* name;
-  bool levelized;
   double interp_cps;
   double compiled_cps;
   double speedup;
@@ -200,11 +198,9 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   bool all_fast_enough = true;
   std::printf("sim_kernels: %d cycles per kernel\n", cycles);
-  std::printf("%-10s %-10s %14s %14s %9s\n", "kernel", "schedule", "interp c/s",
-              "compiled c/s", "speedup");
+  std::printf("%-10s %14s %14s %9s\n", "kernel", "interp c/s", "compiled c/s", "speedup");
   for (const Kernel& k : kKernels) {
     const ElabDesign design = elab_kernel(k);
-    const bool levelized = sim::compile(design).levelized;
 
     // Differential warm-up: identical stimulus, checksums must agree.
     std::uint64_t interp_sum = 0, compiled_sum = 0;
@@ -230,23 +226,22 @@ int main(int argc, char** argv) {
     const double interp_cps = interp_s > 0 ? cycles / interp_s : 0;
     const double compiled_cps = compiled_s > 0 ? cycles / compiled_s : 0;
     const double speedup = interp_cps > 0 ? compiled_cps / interp_cps : 0;
-    rows.push_back({k.name, levelized, interp_cps, compiled_cps, speedup});
+    rows.push_back({k.name, interp_cps, compiled_cps, speedup});
     if (speedup < check_ratio) all_fast_enough = false;
-    std::printf("%-10s %-10s %14.0f %14.0f %8.2fx\n", k.name,
-                levelized ? "levelized" : "event", interp_cps, compiled_cps, speedup);
+    std::printf("%-10s %14.0f %14.0f %8.2fx\n", k.name, interp_cps, compiled_cps, speedup);
   }
 
   if (!json_path.empty()) {
     std::string record = haven::util::format(
-        "{\"bench\":\"sim_kernels\",\"schema\":1,\"cycles\":%d,\"kernels\":[", cycles);
+        "{\"bench\":\"sim_kernels\",\"schema\":2,\"cycles\":%d,\"kernels\":[", cycles);
     bool first = true;
     for (const Row& r : rows) {
       if (!first) record += ",";
       first = false;
       record += haven::util::format(
-          "{\"name\":\"%s\",\"levelized\":%s,\"interp_cycles_per_sec\":%.1f,"
+          "{\"name\":\"%s\",\"interp_cycles_per_sec\":%.1f,"
           "\"compiled_cycles_per_sec\":%.1f,\"speedup\":%.3f}",
-          r.name, r.levelized ? "true" : "false", r.interp_cps, r.compiled_cps, r.speedup);
+          r.name, r.interp_cps, r.compiled_cps, r.speedup);
     }
     record += "]}\n";
     std::ofstream out(json_path);

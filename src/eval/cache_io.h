@@ -57,7 +57,11 @@ inline constexpr std::uint32_t kVerdictSchemaVersionExtended = 3;
 // longer computes. task_cache_seed hashes it, so such entries miss.
 //   1: constant continuous assigns (`assign y = 1'b0;`) drive from power-up;
 //      before, they stayed X.
-inline constexpr std::uint32_t kEvalSemanticsVersion = 1;
+//   2: the compiled backend settles every design with the interpreter's
+//      event-driven loop: a transient self-write under @(*) (`y = 0; if (a)
+//      y = 1; z = y;`) gets the interpreter's verdict, and budgeted step
+//      counts follow the event-driven schedule.
+inline constexpr std::uint32_t kEvalSemanticsVersion = 2;
 
 // The replayable outcome of one candidate's compile→lint→prove→simulate
 // stages.

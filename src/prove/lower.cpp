@@ -16,12 +16,16 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <optional>
+#include <queue>
 #include <string>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
-#include "sim/compile.h"
+#include "sim/program.h"
 #include "sim/value.h"
 
 namespace haven::prove {
@@ -44,6 +48,36 @@ constexpr int kMaxLoopIterations = 1 << 16;
 constexpr int kMaxCombDepth = 990;
 
 [[noreturn]] void unsupported(const std::string& reason) { throw UnsupportedError(reason); }
+
+// Kahn's topological order of the graph given by successor lists (duplicate
+// edges allowed): among ready nodes the lowest index goes first. nullopt on
+// a cycle or when a chain holds more than `max_depth` nodes.
+std::optional<std::vector<std::uint32_t>> topo_order(
+    const std::vector<std::vector<std::uint32_t>>& succ, int max_depth) {
+  const std::size_t n = succ.size();
+  std::vector<std::uint32_t> indeg(n, 0);
+  for (const auto& out : succ) {
+    for (const std::uint32_t s : out) ++indeg[s];
+  }
+  std::priority_queue<std::uint32_t, std::vector<std::uint32_t>, std::greater<>> ready;
+  for (std::uint32_t k = 0; k < n; ++k) {
+    if (indeg[k] == 0) ready.push(k);
+  }
+  std::vector<std::uint32_t> order;
+  std::vector<int> depth(n, 1);
+  while (!ready.empty()) {
+    const std::uint32_t k = ready.top();
+    ready.pop();
+    order.push_back(k);
+    for (const std::uint32_t s : succ[k]) {
+      depth[s] = std::max(depth[s], depth[k] + 1);
+      if (--indeg[s] == 0) ready.push(s);
+    }
+  }
+  if (order.size() != n) return std::nullopt;
+  if (n > 0 && *std::max_element(depth.begin(), depth.end()) > max_depth) return std::nullopt;
+  return order;
+}
 
 int checked_width(int w) {
   if (w < 1 || w > 64) unsupported("vector width outside 1..64");
@@ -952,7 +986,7 @@ std::vector<Word> Lowerer::run() {
         succ[static_cast<std::size_t>(w)].push_back(static_cast<std::uint32_t>(ci));
     }
   }
-  const auto order = sim::topo_order(succ, kMaxCombDepth);
+  const auto order = topo_order(succ, kMaxCombDepth);
   if (!order) unsupported("combinational cycle or depth beyond the delta-cycle budget");
 
   // 8. Execute each process once in dependency order, committing its writes

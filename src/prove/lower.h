@@ -28,7 +28,7 @@
 //    kStoreSig / kStoreBitDyn targets of the comb processes;
 //  * clocked processes whose edge could ever fire: ProgProcess::edges on a
 //    swept input (Program::signals), a comb target or a clocked target;
-//  * comb feedback or depth beyond the delta budget: sim::topo_order over
+//  * comb feedback or depth beyond the delta budget: a topological sort over
 //    ProgProcess::sens;
 //  * lazy faults and runaway loops: a kThrow reached, or a kLoopGuard that
 //    overflows, on a path whose condition is not constant false.

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <functional>
 #include <map>
 #include <optional>
-#include <queue>
 #include <set>
 #include <string>
 #include <tuple>
@@ -22,64 +20,6 @@ using verilog::StmtKind;
 using verilog::StmtPtr;
 
 namespace {
-
-// Levelized combinational chains deeper than this fall back to event-driven
-// execution: the interpreter's delta cap (1000) could fire on very deep
-// chains, and staying far below it keeps the convergence flag provably
-// identical between backends. Real designs are nowhere near this.
-constexpr int kMaxCombDepth = 64;
-
-// Per-signal bit masks definitely/possibly written by a statement: sorted by
-// slot, no zero masks.
-using WriteMap = std::vector<std::pair<std::uint32_t, std::uint64_t>>;
-
-std::uint64_t mask_of(const WriteMap& m, std::uint32_t sl) {
-  const auto it = std::lower_bound(m.begin(), m.end(), std::make_pair(sl, std::uint64_t{0}));
-  return it != m.end() && it->first == sl ? it->second : 0;
-}
-
-void or_into(WriteMap& m, std::uint32_t sl, std::uint64_t mask) {
-  if (mask == 0) return;
-  const auto it = std::lower_bound(m.begin(), m.end(), std::make_pair(sl, std::uint64_t{0}));
-  if (it != m.end() && it->first == sl) {
-    it->second |= mask;
-  } else {
-    m.insert(it, {sl, mask});
-  }
-}
-
-void or_into(WriteMap& into, const WriteMap& from) {
-  for (const auto& [sl, mask] : from) or_into(into, sl, mask);
-}
-
-WriteMap intersect(const WriteMap& a, const WriteMap& b) {
-  WriteMap out;
-  for (const auto& [sl, mask] : a) {
-    if (const std::uint64_t both = mask & mask_of(b, sl)) out.emplace_back(sl, both);
-  }
-  return out;
-}
-
-// Which of `in`'s a/b/c operands name registers it reads: bit 0 = a,
-// bit 1 = b, bit 2 = c.
-unsigned read_operands(const Instr& in) {
-  switch (in.op) {
-    case Op::kConst: case Op::kJump: case Op::kLoopInit: case Op::kLoopGuard:
-    case Op::kStep: case Op::kThrow:
-      return 0;
-    case Op::kSlice:
-      return in.mode == 0 ? 1 : 0;
-    case Op::kMove: case Op::kNot: case Op::kNeg: case Op::kLogNot: case Op::kRedAnd:
-    case Op::kRedOr: case Op::kRedXor: case Op::kReplicate: case Op::kResize:
-    case Op::kJumpIfTrue: case Op::kJumpIfFalse: case Op::kJumpIfDefined:
-    case Op::kStoreSig: case Op::kNbaSig:
-      return 1;
-    case Op::kSelect:
-      return 7;
-    default:  // binary ops, kMergeX, kConcat, kBitDyn, kCaseCmp, dynamic-index stores
-      return 3;
-  }
-}
 
 bool is_known_unary(const std::string& op) {
   return op == "~" || op == "!" || op == "-" || op == "&" || op == "|" ||
@@ -148,7 +88,6 @@ class Compiler {
     prog_.num_regs = max_regs_;
 
     build_watchers();
-    levelize();
     return std::move(prog_);
   }
 
@@ -648,349 +587,6 @@ class Compiler {
     }
   }
 
-  // --- levelization ----------------------------------------------------------
-
-  // Bit mask of a statically-shaped lvalue; nullopt for dynamic indices,
-  // undeclared bases, or unsupported shapes.
-  std::optional<WriteMap> lvalue_mask(const ExprPtr& lhs) const {
-    WriteMap m;
-    const auto add = [&](std::uint32_t sl, int hi, int lo) {
-      if (lo >= 64 || lo < 0 || hi < lo) return;
-      const int w = hi - lo + 1;
-      const std::uint64_t field =
-          (w >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << w) - 1)) << lo;
-      const int sw = design_.signals[sl].width;
-      const std::uint64_t sig_mask =
-          sw >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << sw) - 1);
-      or_into(m, sl, field & sig_mask);
-    };
-    const auto one = [&](const ExprPtr& part) -> bool {
-      const auto sl = slot(part->ident);
-      if (!sl) return false;
-      if (part->kind == ExprKind::kIdent) {
-        add(*sl, design_.signals[*sl].width - 1, 0);
-        return true;
-      }
-      if (part->kind == ExprKind::kPartSelect) {
-        add(*sl, std::max(part->msb, part->lsb), std::min(part->msb, part->lsb));
-        return true;
-      }
-      return false;  // dynamic bit select or unsupported shape
-    };
-    if (lhs->kind == ExprKind::kConcat) {
-      for (const auto& part : lhs->operands) {
-        if (!one(part)) return std::nullopt;
-      }
-      return m;
-    }
-    if (!one(lhs)) return std::nullopt;
-    return m;
-  }
-
-  struct MaskInfo {
-    WriteMap may, must;
-    bool ok = true;
-    static MaskInfo failed() {
-      MaskInfo m;
-      m.ok = false;
-      return m;
-    }
-  };
-
-  // may = bits written on some path, must = bits written on every path. A
-  // body is path-independent (safe to run once with final inputs) iff
-  // may == must: the final execution then overwrites everything any earlier
-  // partial-input execution could have written.
-  MaskInfo stmt_masks(const StmtPtr& s) const {
-    MaskInfo info;
-    if (!s) return info;
-    switch (s->kind) {
-      case StmtKind::kBlock:
-        for (const auto& c : s->stmts) {
-          const MaskInfo ci = stmt_masks(c);
-          if (!ci.ok) return MaskInfo::failed();
-          or_into(info.may, ci.may);
-          or_into(info.must, ci.must);
-        }
-        return info;
-      case StmtKind::kBlockingAssign: {
-        auto m = lvalue_mask(s->lhs);
-        if (!m) return MaskInfo::failed();
-        info.may = *m;
-        info.must = std::move(*m);
-        return info;
-      }
-      case StmtKind::kNonblockingAssign:
-        // NBAs queued during combinational settling commit whenever the next
-        // edge fires — keep the event-driven schedule for those designs.
-        return MaskInfo::failed();
-      case StmtKind::kIf: {
-        const MaskInfo a = stmt_masks(s->then_branch);
-        const MaskInfo b = stmt_masks(s->else_branch);
-        if (!a.ok || !b.ok) return MaskInfo::failed();
-        info.may = a.may;
-        or_into(info.may, b.may);
-        info.must = intersect(a.must, b.must);
-        return info;
-      }
-      case StmtKind::kCase: {
-        bool have_default = false;
-        bool first = true;
-        for (const auto& item : s->case_items) {
-          if (item.labels.empty()) have_default = true;
-          const MaskInfo ci = stmt_masks(item.body);
-          if (!ci.ok) return MaskInfo::failed();
-          or_into(info.may, ci.may);
-          if (first) {
-            info.must = ci.must;
-            first = false;
-          } else {
-            info.must = intersect(info.must, ci.must);
-          }
-        }
-        // Without a default, a no-match execution writes nothing.
-        if (!have_default) info.must.clear();
-        return info;
-      }
-      case StmtKind::kFor:
-        // A loop executed with skewed intermediate inputs could trip the
-        // iteration guard (converged := false) where the final-input
-        // execution would not; keep those event-driven.
-        return MaskInfo::failed();
-    }
-    return MaskInfo::failed();
-  }
-
-  // No expression anywhere in the body may fault: an intermediate-input
-  // execution of the event-driven schedule could take a faulting branch the
-  // final-input execution (the only one levelized mode runs) would not.
-  bool body_throw_free(const StmtPtr& s) const {
-    if (!s) return true;
-    switch (s->kind) {
-      case StmtKind::kBlock:
-        return std::all_of(s->stmts.begin(), s->stmts.end(),
-                           [&](const StmtPtr& c) { return body_throw_free(c); });
-      case StmtKind::kBlockingAssign:
-      case StmtKind::kNonblockingAssign:
-        return !can_throw(s->rhs);
-      case StmtKind::kIf:
-        return !can_throw(s->cond) && body_throw_free(s->then_branch) &&
-               body_throw_free(s->else_branch);
-      case StmtKind::kCase: {
-        if (can_throw(s->cond)) return false;
-        for (const auto& item : s->case_items) {
-          for (const auto& l : item.labels) {
-            if (can_throw(l)) return false;
-          }
-          if (!body_throw_free(item.body)) return false;
-        }
-        return true;
-      }
-      case StmtKind::kFor:
-        return false;  // excluded by stmt_masks anyway
-    }
-    return false;
-  }
-
-  // --- write-before-read self-reads ------------------------------------------
-
-  // True iff every read in `e` of a signal in `targets` sees all of that
-  // signal's target bits already must-written (`written`): the body's entry
-  // value for the signal is dead at such a read.
-  bool expr_reads_dominated(const ExprPtr& e, const WriteMap& targets,
-                            const WriteMap& written) const {
-    const auto covered = [&](const std::string& name) {
-      const auto sl = slot(name);
-      if (!sl) return true;  // undeclared reads are rejected by can_throw
-      const std::uint64_t t = mask_of(targets, *sl);
-      return (mask_of(written, *sl) & t) == t;  // t == 0: not written by this body
-    };
-    switch (e->kind) {
-      case ExprKind::kIdent:
-      case ExprKind::kBitSelect:
-      case ExprKind::kPartSelect:
-        if (!covered(e->ident)) return false;
-        break;
-      default:
-        break;
-    }
-    for (const auto& c : e->operands) {
-      if (!expr_reads_dominated(c, targets, written)) return false;
-    }
-    return true;
-  }
-
-  // Walks a body in execution order tracking the bits must-written so far;
-  // false as soon as a read of a self-written signal can precede its write.
-  bool stmt_reads_dominated(const StmtPtr& s, const WriteMap& targets,
-                            WriteMap& written) const {
-    if (!s) return true;
-    switch (s->kind) {
-      case StmtKind::kBlock:
-        for (const auto& c : s->stmts) {
-          if (!stmt_reads_dominated(c, targets, written)) return false;
-        }
-        return true;
-      case StmtKind::kBlockingAssign: {
-        if (!expr_reads_dominated(s->rhs, targets, written)) return false;
-        const auto m = lvalue_mask(s->lhs);
-        if (!m) return false;  // dynamic lvalues are rejected by stmt_masks
-        or_into(written, *m);
-        return true;
-      }
-      case StmtKind::kIf: {
-        if (!expr_reads_dominated(s->cond, targets, written)) return false;
-        WriteMap then_written = written;
-        WriteMap else_written = written;
-        if (!stmt_reads_dominated(s->then_branch, targets, then_written)) return false;
-        if (!stmt_reads_dominated(s->else_branch, targets, else_written)) return false;
-        written = intersect(then_written, else_written);
-        return true;
-      }
-      case StmtKind::kCase: {
-        if (!expr_reads_dominated(s->cond, targets, written)) return false;
-        // Labels are evaluated before any body runs; check them all against
-        // the entry state.
-        for (const auto& item : s->case_items) {
-          for (const auto& l : item.labels) {
-            if (!expr_reads_dominated(l, targets, written)) return false;
-          }
-        }
-        bool have_default = false;
-        WriteMap out;
-        bool first = true;
-        for (const auto& item : s->case_items) {
-          if (item.labels.empty()) have_default = true;
-          WriteMap body_written = written;
-          if (!stmt_reads_dominated(item.body, targets, body_written)) return false;
-          if (first) {
-            out = std::move(body_written);
-            first = false;
-          } else {
-            out = intersect(out, body_written);
-          }
-        }
-        if (!have_default || first) out = first ? written : intersect(out, written);
-        written = std::move(out);
-        return true;
-      }
-      case StmtKind::kNonblockingAssign:
-      case StmtKind::kFor:
-        return false;  // excluded by stmt_masks before this runs
-    }
-    return false;
-  }
-
-  void levelize() {
-    std::vector<std::uint32_t> comb;
-    for (std::size_t pi = 0; pi < design_.processes.size(); ++pi) {
-      const ProcessKind k = design_.processes[pi].kind;
-      if (k == ProcessKind::kComb || k == ProcessKind::kContAssign) {
-        comb.push_back(static_cast<std::uint32_t>(pi));
-      }
-    }
-    prog_.comb_rank.assign(design_.processes.size(), UINT32_MAX);
-    if (comb.empty()) {
-      prog_.levelized = true;  // nothing combinational to schedule
-      return;
-    }
-
-    const std::size_t n = comb.size();
-    std::vector<WriteMap> writes(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      const ElabProcess& p = design_.processes[comb[k]];
-      std::optional<WriteMap> wm;
-      if (p.kind == ProcessKind::kContAssign) {
-        if (can_throw(p.rhs)) return;
-        wm = lvalue_mask(p.lhs);
-      } else {
-        const MaskInfo info = stmt_masks(p.body);
-        if (!info.ok || info.may != info.must || !body_throw_free(p.body)) return;
-        // The sensitivity list must cover every signal the body reads,
-        // otherwise the event-driven schedule deliberately *keeps* stale
-        // values that a dependency-ordered schedule would refresh.
-        const ProgProcess& pp = prog_.processes[comb[k]];
-        for (std::uint32_t pc = pp.begin; pc < pp.end; ++pc) {
-          const Instr& in = prog_.code[pc];
-          const std::uint32_t regs[3] = {in.a, in.b, in.c};
-          for (unsigned i = 0; i < 3; ++i) {
-            if (((read_operands(in) >> i) & 1) && regs[i] < nsig_ &&
-                !std::binary_search(pp.sens.begin(), pp.sens.end(), regs[i]))
-              return;
-          }
-        }
-        wm = info.may;
-      }
-      if (!wm) return;
-      // Self reads are allowed only in write-before-read position: every read
-      // of a signal the body writes must be preceded, on every path, by
-      // must-writes covering all the bits the body ever writes to it. The
-      // entry value is then dead, so one final-input execution computes the
-      // event-driven fixpoint (the FSM `next`-then-output idiom). Anything
-      // that can see its previous iteration's value — a continuous assign
-      // reading its lvalue, a latch, an oscillator — keeps the delta loop.
-      bool self_read = false;
-      for (const auto& [sl, mask] : *wm) {
-        (void)mask;
-        if (p.read_set.contains(design_.signals[sl].name)) {
-          self_read = true;
-          break;
-        }
-      }
-      if (self_read) {
-        if (p.kind != ProcessKind::kComb) return;
-        WriteMap written;
-        if (!stmt_reads_dominated(p.body, *wm, written)) return;
-      }
-      writes[k] = std::move(*wm);
-    }
-
-    // Every driven bit needs exactly one combinational writer, or the
-    // last-writer-wins order of the delta loop becomes observable.
-    std::vector<std::uint64_t> driven(nsig_, 0);
-    std::vector<std::vector<std::uint32_t>> writers_of(nsig_);
-    for (std::size_t k = 0; k < n; ++k) {
-      for (const auto& [sl, mask] : writes[k]) {
-        if (driven[sl] & mask) return;
-        driven[sl] |= mask;
-        writers_of[sl].push_back(static_cast<std::uint32_t>(k));
-      }
-    }
-
-    // Dependency graph: writer -> reader, topologically sorted and
-    // depth-capped; a cycle keeps the delta loop.
-    std::vector<std::vector<std::uint32_t>> adj(n);
-    for (std::size_t k2 = 0; k2 < n; ++k2) {
-      for (const std::uint32_t sl : prog_.processes[comb[k2]].sens) {
-        for (const std::uint32_t k1 : writers_of[sl]) {
-          if (k1 == k2) continue;  // write-before-read self-reads carry no edge
-          adj[k1].push_back(static_cast<std::uint32_t>(k2));
-        }
-      }
-    }
-    std::optional<std::vector<std::uint32_t>> order = topo_order(adj, kMaxCombDepth);
-    if (!order) return;
-    for (std::uint32_t& k : *order) k = comb[k];
-
-    prog_.levelized = true;
-    prog_.comb_order = std::move(*order);
-    for (std::uint32_t rank = 0; rank < prog_.comb_order.size(); ++rank) {
-      prog_.comb_rank[prog_.comb_order[rank]] = rank;
-    }
-
-    // A levelized process's self-reads are write-before-read (checked above),
-    // so its self-retrigger is provably a no-op; drop the self-watch entries
-    // to keep the rank sweep's invariant that a write only ever queues ranks
-    // strictly ahead of the process that performed it.
-    for (std::size_t k = 0; k < n; ++k) {
-      for (const auto& [sl, mask] : writes[k]) {
-        (void)mask;
-        auto& ws = prog_.comb_watchers[sl];
-        ws.erase(std::remove(ws.begin(), ws.end(), comb[k]), ws.end());
-      }
-    }
-  }
-
   const ElabDesign& design_;
   Program prog_;
   std::uint32_t nsig_ = 0;
@@ -1003,32 +599,5 @@ class Compiler {
 }  // namespace
 
 Program compile(const ElabDesign& design) { return Compiler(design).run(); }
-
-std::optional<std::vector<std::uint32_t>> topo_order(
-    const std::vector<std::vector<std::uint32_t>>& succ, int max_depth) {
-  const std::size_t n = succ.size();
-  std::vector<std::uint32_t> indeg(n, 0);
-  for (const auto& out : succ) {
-    for (const std::uint32_t s : out) ++indeg[s];
-  }
-  std::priority_queue<std::uint32_t, std::vector<std::uint32_t>, std::greater<>> ready;
-  for (std::uint32_t k = 0; k < n; ++k) {
-    if (indeg[k] == 0) ready.push(k);
-  }
-  std::vector<std::uint32_t> order;
-  std::vector<int> depth(n, 1);
-  while (!ready.empty()) {
-    const std::uint32_t k = ready.top();
-    ready.pop();
-    order.push_back(k);
-    for (const std::uint32_t s : succ[k]) {
-      depth[s] = std::max(depth[s], depth[k] + 1);
-      if (--indeg[s] == 0) ready.push(s);
-    }
-  }
-  if (order.size() != n) return std::nullopt;
-  if (n > 0 && *std::max_element(depth.begin(), depth.end()) > max_depth) return std::nullopt;
-  return order;
-}
 
 }  // namespace haven::sim

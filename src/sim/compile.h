@@ -12,19 +12,10 @@
 //    branchy form that evaluates exactly the branches the interpreter would;
 //  * literals and selects with out-of-range widths materialize lazily.
 //
-// Levelization: when every combinational process is a pure, throw-free,
-// path-independent function of signals it does not write (the precise
-// conditions are documented in DESIGN.md §10), the combinational graph is
-// topologically sorted and the active region executes each affected process
-// once in dependency order. Any violation — cycles, potential throws,
-// latch-shaped bodies, dynamic-index writes, multi-driven bits, NBAs or for
-// loops in comb processes, over-deep chains — falls back to the
-// interpreter-identical event-driven delta loop for the whole design.
+// The compiler only lowers code; it makes no scheduling decision. Every
+// Program settles through the interpreter's event-driven delta loop (see
+// CompiledSimulator in sim/program.h).
 #pragma once
-
-#include <cstdint>
-#include <optional>
-#include <vector>
 
 #include "sim/elaborate.h"
 #include "sim/program.h"
@@ -34,12 +25,5 @@ namespace haven::sim {
 // Throws ElabError for the same eager faults as the Simulator constructor
 // (an edge on an unknown signal); everything else stays lazy.
 Program compile(const ElabDesign& design);
-
-// Kahn's topological order of the graph given by successor lists (duplicate
-// edges allowed): among ready nodes the lowest index goes first. nullopt on
-// a cycle or when a chain holds more than `max_depth` nodes. Levelization
-// and haven::prove's lowering order combinational processes with it.
-std::optional<std::vector<std::uint32_t>> topo_order(
-    const std::vector<std::vector<std::uint32_t>>& succ, int max_depth);
 
 }  // namespace haven::sim

@@ -142,12 +142,9 @@ void CompiledSimulator::clock_cycle(const std::string& clk) {
 void CompiledSimulator::update() {
   util::maybe_inject(util::kSiteSimRun);
   for (int round = 0; round < kMaxDeltaCycles; ++round) {
-    // 1. Combinational settling (active region).
-    if (program_.levelized) {
-      settle_levelized();
-    } else if (!settle_event_driven()) {
-      return;  // zero-delay oscillation: converged_ already cleared
-    }
+    // 1. Combinational settling (active region); a zero-delay oscillation
+    // has already cleared converged_.
+    if (!settle_event_driven()) return;
 
     // 2. Detect edges against the last quiescent state.
     std::fill(fired_.begin(), fired_.end(), 0);
@@ -226,40 +223,6 @@ bool CompiledSimulator::settle_event_driven() {
     }
   }
   return true;
-}
-
-void CompiledSimulator::settle_levelized() {
-  if (!any_dirty_) return;
-  std::fill(pending_.begin(), pending_.end(), 0);
-  // Watchers of a written signal always have a strictly greater rank than its
-  // writer, so draining dirty signals into the pending-rank mask only ever
-  // sets bits ahead of the sweep cursor.
-  const auto drain = [this] {
-    if (!any_dirty_) return;
-    for (std::size_t w = 0; w < dirty_.size(); ++w) {
-      std::uint64_t word = dirty_[w];
-      while (word) {
-        const int b = ctz64(word);
-        word &= word - 1;
-        for (std::uint32_t pi : program_.comb_watchers[w * 64 + b]) {
-          const std::uint32_t rank = program_.comb_rank[pi];
-          pending_[rank >> 6] |= std::uint64_t{1} << (rank & 63);
-        }
-      }
-    }
-    std::fill(dirty_.begin(), dirty_.end(), 0);
-    any_dirty_ = false;
-  };
-  drain();
-  const std::size_t rank_words = (program_.comb_order.size() + 63) / 64;
-  for (std::size_t w = 0; w < rank_words; ++w) {
-    while (std::uint64_t word = pending_[w]) {
-      const int b = ctz64(word);
-      pending_[w] &= ~(std::uint64_t{1} << b);
-      run_process(program_.processes[program_.comb_order[w * 64 + b]]);
-      drain();
-    }
-  }
 }
 
 void CompiledSimulator::run_process(const ProgProcess& proc) {

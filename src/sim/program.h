@@ -17,17 +17,14 @@
 // exact evaluation point, so a design that never executes the offending
 // branch behaves identically on both backends.
 //
-// Scheduling (see DESIGN.md §10): CompiledSimulator reproduces the
-// interpreter's stratified event queue — active-region combinational
-// settling, edge detection against the last quiescent state, clocked
-// execution with NBA commit, delta/round caps setting converged() = false,
-// X power-up, and the statement+activation step budget. When the
-// combinational process graph is acyclic, single-writer, and throw-free, the
-// active region is *levelized*: affected processes run once each in
-// topological order instead of iterating to a fixpoint. Otherwise the
-// event-driven delta loop is kept (the fallback rule), which is what makes
-// zero-delay oscillation detection — and therefore every verdict — agree
-// with the interpreter bit for bit.
+// Scheduling (see DESIGN.md §10): CompiledSimulator runs the interpreter's
+// stratified event queue and nothing else — active-region combinational
+// settling as the same event-driven delta loop (processes of a wavefront in
+// ascending id order), edge detection against the last quiescent state,
+// clocked execution with NBA commit, delta/round caps setting converged() =
+// false, X power-up, and the statement+activation step budget. That is what
+// makes zero-delay oscillation detection, steps()/activations(), and
+// therefore every verdict agree with the interpreter bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -133,22 +130,13 @@ struct Program {
 
   // Per signal slot: combinational/continuous processes reading it, and
   // clocked processes edge-sensitive to it (ascending process ids — the
-  // interpreter's execution order). A levelized process is left out of the
-  // comb watchers of the signals it writes; ProgProcess::sens keeps its full
-  // sensitivity.
+  // interpreter's execution order).
   std::vector<std::vector<std::uint32_t>> comb_watchers;
   std::vector<std::vector<std::uint32_t>> edge_watchers;
   std::vector<std::uint32_t> edge_sigs;  // slots with >= 1 edge watcher
 
   std::uint32_t num_regs = 0;   // signals + scratch temporaries
   std::uint32_t num_loops = 0;  // loop-guard counter slots
-
-  // Levelized combinational schedule (empty <=> event-driven fallback):
-  // comb_order lists comb/cont processes in topological order; comb_rank
-  // maps process id -> rank in that order (UINT32_MAX for non-comb).
-  bool levelized = false;
-  std::vector<std::uint32_t> comb_order;
-  std::vector<std::uint32_t> comb_rank;
 
   std::uint32_t slot_of(const std::string& name) const;  // throws ElabError
 };
@@ -189,7 +177,6 @@ class CompiledSimulator {
   void mark_dirty(std::uint32_t slot);
   void update();
   bool settle_event_driven();  // false on delta-cap blowup (oscillation)
-  void settle_levelized();
   void run_process(const ProgProcess& proc);
   void exec(std::uint32_t pc, std::uint32_t end);
   void write_signal(std::uint32_t slot, int hi, int lo, const Value& v);
@@ -206,7 +193,7 @@ class CompiledSimulator {
   std::vector<NbaEntry> nba_queue_;
   std::vector<NbaEntry> nba_scratch_;  // reused NBA commit buffer (no per-round alloc)
   std::vector<std::uint64_t> dirty_;    // signal bitmask
-  std::vector<std::uint64_t> pending_;  // scratch: proc (or rank) bitmask
+  std::vector<std::uint64_t> pending_;  // scratch: comb proc bitmask
   std::vector<std::uint64_t> fired_;    // scratch: clocked proc bitmask
   std::vector<int> loop_counters_;
   bool any_dirty_ = false;

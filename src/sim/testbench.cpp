@@ -78,6 +78,23 @@ class AnySim {
   std::unique_ptr<CompiledSimulator> comp_;
 };
 
+// An ElabError the DUT raises after its elaboration succeeded: a compile
+// error while building its simulator, or a lazy fault while it runs. It
+// fails the test; the same error from the golden means a broken task.
+struct DutFault {
+  std::string message;
+};
+
+// Runs `call` on the DUT's simulator, turning its ElabError into a DutFault.
+template <typename Call>
+decltype(auto) on_dut(Call&& call) {
+  try {
+    return call();
+  } catch (const ElabError& e) {
+    throw DutFault{e.what()};
+  }
+}
+
 // A named port resolved to its slot handle on both simulators: the string
 // lookup happens once per unit here, never per stimulus vector.
 struct PortPair {
@@ -159,11 +176,14 @@ DiffResult run_diff_test(const Module& dut_mod, const SourceFile* dut_file,
       return result;
     }
 
-    Harness h{AnySim(std::move(golden_design), spec.backend, spec.step_budget),
-              AnySim(std::move(dut_design), spec.backend, spec.step_budget), {}, {}};
-    result.simulated = true;
+    AnySim golden(std::move(golden_design), spec.backend, spec.step_budget);
+    result.simulated = true;  // the golden's first settle ran the kSiteSimRun hook
+    AnySim dut =
+        on_dut([&] { return AnySim(std::move(dut_design), spec.backend, spec.step_budget); });
+    Harness h{std::move(golden), std::move(dut), {}, {}};
     auto resolve_pair = [&](const std::string& name, int width) {
-      return PortPair{name, width, h.golden.resolve(name), h.dut.resolve(name)};
+      return PortPair{name, width, h.golden.resolve(name),
+                      on_dut([&] { return h.dut.resolve(name); })};
     };
     for (const auto& p : golden_mod.ports) {
       if (p.dir == Dir::kOutput) {
@@ -180,7 +200,7 @@ DiffResult run_diff_test(const Module& dut_mod, const SourceFile* dut_file,
 
     auto drive_both = [&](const PortPair& p, std::uint64_t v) {
       h.golden.poke(p.golden, v);
-      h.dut.poke(p.dut, v);
+      on_dut([&] { h.dut.poke(p.dut, v); });
     };
     // Strict comparison: DUT must match every golden-defined bit.
     auto compare_outputs = [&](const auto& when) -> bool {
@@ -316,8 +336,11 @@ DiffResult run_diff_test(const Module& dut_mod, const SourceFile* dut_file,
     }
     result.passed = true;
     return result;
+  } catch (const DutFault& fault) {
+    result.reason = "dut simulation failed: " + fault.message;
+    return result;
   } catch (const ElabError& e) {
-    // Golden-side elaboration errors indicate a broken task definition.
+    // Golden-side errors, at elaboration or later, mean a broken task.
     throw std::logic_error(std::string("golden elaboration failed: ") + e.what());
   }
 }

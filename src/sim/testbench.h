@@ -39,8 +39,9 @@ struct DiffResult {
   bool passed = false;
   std::string reason;  // first mismatch / failure description
   int vectors = 0;     // vectors or cycles actually compared
-  // Both simulators were built, so the kSiteSimRun injection hook fired;
-  // false when the interface check or the DUT's elaboration failed first.
+  // The golden's simulator was built, so the kSiteSimRun injection hook
+  // fired; false when the interface check or the DUT's elaboration failed
+  // first.
   bool simulated = false;
 };
 
@@ -61,7 +62,9 @@ DiffResult check_interface(const verilog::Module& dut, const verilog::Module& go
 // Compare candidate `dut` against `golden`. The respective SourceFiles
 // provide instance definitions (may be null). Any elaboration failure,
 // interface mismatch, non-convergence, or output divergence fails the test
-// with a human-readable reason.
+// with a human-readable reason, and so does an ElabError the DUT raises
+// later (a compile error or a lazy fault: "dut simulation failed: ...").
+// The same error from the golden throws std::logic_error.
 //
 // `deadline`, when non-null and active, is checked between vectors/cycles
 // (watchdog granularity) and throws util::DeadlineExceeded — a harness

@@ -340,25 +340,29 @@ TEST(EvalCacheKeys, KeyBindsEvalKnobsAndStream) {
 }
 
 // A cache written before constant continuous assigns drove from power-up
-// holds X-era verdicts for texts such as `assign y = 1'b0;`. Its keys must
-// miss, not replay. `x_era_seed` is rtllm_00's task seed as computed by the
-// last build before that change (kEvalSemanticsVersion did not exist yet).
+// holds X-era verdicts for texts such as `assign y = 1'b0;`, and one written
+// under kEvalSemanticsVersion 1 holds verdicts of the compiled backend's old
+// levelized schedule. Their keys must miss, not replay. Each seed is
+// rtllm_00's task seed as computed by the last build before that change
+// (kEvalSemanticsVersion did not exist before version 1).
 TEST(EvalCacheKeys, EntriesKeyedBeforeSemanticsChangeMiss) {
   const Suite suite = small_rtllm(1);
   const EvalTask& task = suite.tasks.front();
   ASSERT_EQ(task.id, "rtllm_00");
-  const cache::Digest x_era_seed{0x932a3f5b5015ab68ULL, 0x959fa30177663f8eULL};
   const cache::Digest seed = task_cache_seed(task, 0, CacheLintMode::kOff);
-  EXPECT_NE(seed, x_era_seed);
-
-  const std::string source = "module m(output y);\n  assign y = 1'b0;\nendmodule\n";
-  CachedVerdict x_era;
-  x_era.syntax_ok = true;
-  x_era.func_ok = true;
-  x_era.simulated = true;
-  cache::ResultCache cache;
-  cache.insert(unit_cache_key(x_era_seed, source, 42), encode_verdict(x_era));
-  EXPECT_FALSE(cache.lookup(unit_cache_key(seed, source, 42)).has_value());
+  const cache::Digest x_era_seed{0x932a3f5b5015ab68ULL, 0x959fa30177663f8eULL};
+  const cache::Digest v1_seed{0x009246289fbb5d63ULL, 0xffa7a5b086378c47ULL};
+  for (const cache::Digest& old_seed : {x_era_seed, v1_seed}) {
+    EXPECT_NE(seed, old_seed);
+    const std::string source = "module m(output y);\n  assign y = 1'b0;\nendmodule\n";
+    CachedVerdict old;
+    old.syntax_ok = true;
+    old.func_ok = true;
+    old.simulated = true;
+    cache::ResultCache cache;
+    cache.insert(unit_cache_key(old_seed, source, 42), encode_verdict(old));
+    EXPECT_FALSE(cache.lookup(unit_cache_key(seed, source, 42)).has_value());
+  }
 }
 
 }  // namespace

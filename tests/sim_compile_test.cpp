@@ -2,18 +2,18 @@
 //
 // Every design is driven through both backends with identical stimulus and
 // compared on every elaborated signal after every poke — plus convergence
-// flags, lazy-error messages, and (for event-driven programs) the exact
-// step/activation counters. Suite-level parity over the built-in tasks
-// lives in eval_backend_diff_test.cpp.
+// flags, lazy-error messages, and the exact step/activation counters.
+// Suite-level parity over the built-in tasks lives in
+// eval_backend_diff_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "sim/compile.h"
 #include "sim/program.h"
 #include "sim/simulator.h"
+#include "sim/testbench.h"
 #include "verilog/parser.h"
 
 namespace haven::sim {
@@ -34,10 +34,12 @@ void expect_same_state(const Simulator& interp, const CompiledSimulator& comp,
                                 << a.to_string() << " compiled=" << b.to_string();
   }
   EXPECT_EQ(interp.converged(), comp.converged()) << context;
+  EXPECT_EQ(interp.steps(), comp.steps()) << context;
+  EXPECT_EQ(interp.activations(), comp.activations()) << context;
 }
 
 // Drive all inputs of both backends with the same deterministic pseudo-random
-// vectors and compare the full signal state after every poke.
+// vectors and compare the full signal state and counters after every poke.
 void drive_diff(const std::string& src, int vectors = 100) {
   const ElabDesign design = elab(src);
   Simulator interp(design);
@@ -63,8 +65,6 @@ void drive_diff(const std::string& src, int vectors = 100) {
   }
 }
 
-bool is_levelized(const std::string& src) { return compile(elab(src)).levelized; }
-
 TEST(CompiledSim, ContAssignChainLevelized) {
   const std::string src = R"(
 module m(input a, input b, output y);
@@ -75,7 +75,6 @@ module m(input a, input b, output y);
   assign y = t3 | b;
 endmodule
 )";
-  EXPECT_TRUE(is_levelized(src));
   drive_diff(src);
 }
 
@@ -101,7 +100,6 @@ module alu(input [3:0] op, input [7:0] a, input [7:0] b, output [7:0] y, output 
   assign zero = y == 8'd0;
 endmodule
 )";
-  EXPECT_TRUE(is_levelized(src));
   drive_diff(src, 200);
 }
 
@@ -132,7 +130,6 @@ module fsm(input clk, input rst, input in, output reg [1:0] state, output reg ou
   end
 endmodule
 )";
-  EXPECT_TRUE(is_levelized(src));
   const ElabDesign design = elab(src);
   Simulator interp(design);
   CompiledSimulator comp(design);
@@ -154,21 +151,18 @@ endmodule
 }
 
 TEST(CompiledSim, LatchShapedBodyFallsBackAndMatches) {
-  // Incomplete if: y latches its old value, which only the event-driven
-  // schedule reproduces; the compiler must refuse to levelize it.
+  // Incomplete if: y latches its old value across pokes.
   const std::string src = R"(
 module m(input en, input d, output reg y);
   always @(*) if (en) y = d;
 endmodule
 )";
-  EXPECT_FALSE(is_levelized(src));
   drive_diff(src);
 }
 
 TEST(CompiledSim, WriteBeforeReadTempLevelized) {
   // Blocking temp read-after-write inside one body: `t`'s entry value is
-  // dead at every read, so one final-input execution already computes the
-  // event-driven fixpoint and the compiler may levelize the process.
+  // dead at every read.
   const std::string src = R"(
 module m(input [3:0] a, input [3:0] b, output reg [3:0] y);
   reg [3:0] t;
@@ -178,14 +172,12 @@ module m(input [3:0] a, input [3:0] b, output reg [3:0] y);
   end
 endmodule
 )";
-  EXPECT_TRUE(is_levelized(src));
   drive_diff(src);
 }
 
 TEST(CompiledSim, ReadBeforeWriteSelfFeedbackFallsBack) {
   // Here the first statement reads `t` from the previous iteration before
-  // the body overwrites it — genuine state feedback that only the delta
-  // loop reproduces; the compiler must refuse to levelize it.
+  // the body overwrites it — genuine state feedback through the delta loop.
   const std::string src = R"(
 module m(input [3:0] a, input [3:0] b, output reg [3:0] y);
   reg [3:0] t;
@@ -195,15 +187,13 @@ module m(input [3:0] a, input [3:0] b, output reg [3:0] y);
   end
 endmodule
 )";
-  EXPECT_FALSE(is_levelized(src));
   drive_diff(src);
 }
 
 TEST(CompiledSim, PartialSelfWriteLevelizedWhenWrittenFirst) {
-  // The body writes only t[1:0] and reads the whole of t afterwards. The
-  // bits it writes are written before the read; the bits it never writes
-  // (t[3:2], power-up X here) read the same value under either schedule, so
-  // the process still levelizes.
+  // The body writes only t[1:0] and reads the whole of t afterwards: the
+  // bits it writes are written before the read, and the bits it never writes
+  // (t[3:2]) stay at power-up X.
   const std::string src = R"(
 module m(input [1:0] a, input [1:0] b, output reg [3:0] y);
   reg [3:0] t;
@@ -213,19 +203,17 @@ module m(input [1:0] a, input [1:0] b, output reg [3:0] y);
   end
 endmodule
 )";
-  EXPECT_TRUE(is_levelized(src));
   drive_diff(src);
 }
 
 TEST(CompiledSim, CombLoopXFixpointConvergesOnBoth) {
   // A zero-delay loop through 4-state logic settles at the X fixpoint:
-  // pessimistic but convergent — and must never be levelized.
+  // pessimistic but convergent.
   const std::string src = R"(
 module m(input a, output y);
   assign y = ~y | a;
 endmodule
 )";
-  EXPECT_FALSE(is_levelized(src));
   const ElabDesign design = elab(src);
   Simulator interp(design);
   CompiledSimulator comp(design);
@@ -247,7 +235,6 @@ module osc(input a, output reg y);
     else y = 1'b1;
 endmodule
 )";
-  EXPECT_FALSE(is_levelized(src));
   const ElabDesign design = elab(src);
   Simulator interp(design);
   CompiledSimulator comp(design);
@@ -255,6 +242,37 @@ endmodule
   comp.poke("a", 0);
   EXPECT_FALSE(interp.converged());
   EXPECT_FALSE(comp.converged());
+}
+
+// y's transient 0 marks y dirty whenever a = 1, which re-triggers the block
+// on both backends, so the delta loop never settles.
+const char* kTransientSelfWrite = R"(
+module m(input a, output reg y, output reg z);
+  always @(*) begin
+    y = 0;
+    if (a) y = 1;
+    z = y;
+  end
+endmodule
+)";
+
+TEST(CompiledSim, TransientSelfWriteParity) { drive_diff(kTransientSelfWrite, 20); }
+
+TEST(CompiledSim, TransientSelfWriteDiffTestParity) {
+  const std::string golden = "module m(input a, output y, output z);\n"
+                             "  assign y = a;\n  assign z = a;\nendmodule\n";
+  std::vector<DiffResult> results;
+  for (const SimBackend backend : {SimBackend::kInterpreter, SimBackend::kCompiled}) {
+    StimulusSpec spec;
+    spec.backend = backend;
+    util::Rng rng(3);
+    results.push_back(run_diff_test(kTransientSelfWrite, golden, spec, rng));
+  }
+  EXPECT_FALSE(results[0].passed);
+  EXPECT_EQ(results[0].reason, "dut failed to converge (vector 1)");
+  EXPECT_EQ(results[0].passed, results[1].passed);
+  EXPECT_EQ(results[0].reason, results[1].reason);
+  EXPECT_EQ(results[0].vectors, results[1].vectors);
 }
 
 TEST(CompiledSim, NonblockingSwapParity) {
@@ -359,7 +377,6 @@ module m(input en, input [3:0] d, output reg [3:0] y);
 endmodule
 )";
   const ElabDesign design = elab(src);
-  ASSERT_FALSE(compile(design).levelized);
   Simulator interp(design);
   CompiledSimulator comp(design);
   std::uint64_t x = 7;
@@ -381,7 +398,6 @@ module m(input en, input [3:0] d, output reg [3:0] y);
 endmodule
 )";
   const ElabDesign design = elab(src);
-  ASSERT_FALSE(compile(design).levelized);
   // Find the budget that the stimulus needs, then set one below it.
   Simulator probe(design);
   probe.poke("en", 1);
@@ -417,7 +433,6 @@ module m(input en, input d, output reg y);
   end
 endmodule
 )";
-  EXPECT_FALSE(is_levelized(src));
   const ElabDesign design = elab(src);
   Simulator interp(design);
   CompiledSimulator comp(design);

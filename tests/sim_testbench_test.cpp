@@ -237,6 +237,33 @@ TEST(Testbench, GoldenParseFailureThrows) {
   EXPECT_THROW(run_diff_test(kGoldenAnd, "garbage", spec, rng), std::invalid_argument);
 }
 
+// An ElabError raised after the DUT elaborated fails the DUT on both
+// backends, whether its simulator's construction raises it (the replication
+// is evaluated in the first settle) or a later poke does (a = 1 reaches the
+// undeclared `ghost`). The same error from the golden still throws.
+TEST(Testbench, DutRuntimeElabErrorFailsTheDut) {
+  const char* at_construction =
+      "module m(input a, input b, output y); assign y = {40{a, b}}; endmodule";
+  const char* at_poke = R"(
+module m(input a, input b, output reg y);
+  always @(*) if (a) y = ghost; else y = b;
+endmodule
+)";
+  for (const SimBackend backend : {SimBackend::kInterpreter, SimBackend::kCompiled}) {
+    StimulusSpec spec;
+    spec.backend = backend;
+    util::Rng rng(18);
+    const DiffResult r1 = run_diff_test(at_construction, kGoldenAnd, spec, rng);
+    EXPECT_FALSE(r1.passed);
+    EXPECT_TRUE(r1.simulated);
+    EXPECT_EQ(r1.reason, "dut simulation failed: replication wider than 64 bits");
+    const DiffResult r2 = run_diff_test(at_poke, kGoldenAnd, spec, rng);
+    EXPECT_FALSE(r2.passed);
+    EXPECT_EQ(r2.reason, "dut simulation failed: evaluation of undeclared identifier 'ghost'");
+    EXPECT_THROW(run_diff_test(kGoldenAnd, at_construction, spec, rng), std::logic_error);
+  }
+}
+
 TEST(Testbench, FsmSequenceDetector) {
   // 101 overlapping sequence detector, Mealy. Golden vs a re-implementation
   // with renamed states must pass; with swapped transition must fail.
